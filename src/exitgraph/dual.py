@@ -410,12 +410,9 @@ def exit_edges_dual(ps: PointSet) -> tuple[ExitEdge, ...]:
         sheared, _ = shear_to_generic(ps)
         a = [c[0] for c in sheared.int_coords]
         b = [-c[1] for c in sheared.int_coords]
-        try:
-            from . import fastscan
-            vector_ok = fastscan.coords_are_safe(a, b)
-        except ImportError:
-            vector_ok = False
-        if vector_ok:
+        from . import fastscan  # here, so that small inputs never load numpy
+
+        if fastscan.coords_are_safe(a, b):
             return _exit_edges_vectorized(a, b, n)
         order, rank = crossing_tables(a, b)
         collected: dict[int, object] = {}

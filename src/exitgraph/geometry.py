@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 Coordinate = Union[int, str, Fraction]
@@ -150,11 +150,26 @@ def _first_duplicate(points: Sequence[Point]) -> tuple[int, int] | None:
     return min(pairs) if pairs else None
 
 
+def _direction(dx: int, dy: int) -> tuple[int, int]:
+    """Primitive integer direction of (dx, dy), signed so that dx > 0, or
+    dx == 0 and dy > 0: opposite vectors get the same key."""
+    g = gcd(dx, dy)
+    if dx < 0 or (dx == 0 and dy < 0):
+        g = -g
+    return dx // g, dy // g
+
+
 def certify_general_position(points: Iterable) -> PointSet:
     """Validate distinctness and the no-three-collinear condition.
 
-    Raises DuplicatePointError or CollinearTripleError naming the first
-    offending pair/triple in lexicographic label order.
+    Raises DuplicatePointError naming the lexicographically first pair of
+    coinciding labels; failing that, CollinearTripleError naming the
+    lexicographically first collinear triple (i, j, k), i < j < k.
+
+    Runs in expected O(n^2) time: for each label i, the directions to all
+    labels j > i are hashed, and a repeated direction is a collinear triple
+    whose smallest label is i.  The test runs on ``int_coords``, so it is
+    exact for rationals and integers of any size.
     """
     pts = [_as_point(p) for p in points]
     dup = _first_duplicate(pts)
@@ -162,15 +177,14 @@ def certify_general_position(points: Iterable) -> PointSet:
         raise DuplicatePointError(*dup)
     ps = PointSet(tuple(pts))
     grid = ps.int_coords
-    n = len(grid)
-    for i in range(n):
-        xi, yi = grid[i]
-        for j in range(i + 1, n):
-            dx1 = grid[j][0] - xi
-            dy1 = grid[j][1] - yi
-            for k in range(j + 1, n):
-                if dx1 * (grid[k][1] - yi) == dy1 * (grid[k][0] - xi):
-                    raise CollinearTripleError(i, j, k)
+    for i, (xi, yi) in enumerate(grid):
+        keys = [_direction(x - xi, y - yi) for x, y in grid[i + 1:]]
+        if len(set(keys)) < len(keys):
+            lines: dict[tuple[int, int], list[int]] = {}
+            for j, key in enumerate(keys, start=i + 1):
+                lines.setdefault(key, []).append(j)
+            j, k = min(line[:2] for line in lines.values() if len(line) > 1)
+            raise CollinearTripleError(i, j, k)
     return ps
 
 

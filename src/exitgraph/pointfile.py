@@ -1,6 +1,7 @@
 """The point file format: one "x y" pair per line.
 
-Coordinates are integers or lowest-terms rationals written "p/q"; "#"
+Coordinates are integers or lowest-terms rationals written "p/q" (plain
+decimals such as "0.5" are read too, exponent notation is refused); "#"
 starts a comment and blank lines are skipped.  Serialization emits the
 canonical form, so parse(serialize(ps)) round-trips exactly.
 """
@@ -29,6 +30,10 @@ def parse_point_list(text: str) -> list[Point]:
         parts = line.split()
         if len(parts) != 2:
             raise PointSyntaxError(lineno, f"expected 'x y', got {raw.strip()!r}")
+        # Fraction("1e10000000") would build 10**10000000 eagerly
+        if "e" in line or "E" in line:
+            raise PointSyntaxError(
+                lineno, f"exponent notation is not accepted: {line!r}")
         try:
             x, y = Fraction(parts[0]), Fraction(parts[1])
         except (ValueError, ZeroDivisionError) as err:

@@ -75,6 +75,13 @@ def test_degenerate_input_is_input_error(tmp_path, capsys):
     assert "collinear" in capsys.readouterr().err
 
 
+def test_exponent_coordinate_is_input_error(tmp_path, capsys):
+    f = tmp_path / "huge.txt"
+    f.write_text("0 0\n1e999999999 0\n2 5\n")
+    assert cli(["compute", str(f)]) == 1
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_usage_error(capsys):
     assert cli(["novelty"]) == 1
     assert cli([]) == 1

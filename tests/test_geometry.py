@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from exitgraph import (
     DuplicatePointError,
     OnLineError,
     Orientation,
+    PointSet,
     SharedEndpointError,
     TooFewPointsError,
     certify_general_position,
@@ -21,6 +23,7 @@ from exitgraph import (
     shear_to_generic,
 )
 from conftest import random_sets
+from exitgraph.geometry import _as_point, _first_duplicate
 
 P = point
 
@@ -76,6 +79,71 @@ def test_certify_reports_first_duplicate():
     with pytest.raises(DuplicatePointError) as err:
         certify_general_position([(0, 0), (1, 2), (0, 0), (1, 2)])
     assert err.value.labels == (0, 2)
+
+
+def _certify_cubic(points):
+    """Reference certification: the plain triple loop over labels."""
+    pts = [_as_point(p) for p in points]
+    dup = _first_duplicate(pts)
+    if dup is not None:
+        raise DuplicatePointError(*dup)
+    ps = PointSet(tuple(pts))
+    grid = ps.int_coords
+    n = len(grid)
+    for i in range(n):
+        xi, yi = grid[i]
+        for j in range(i + 1, n):
+            dx1 = grid[j][0] - xi
+            dy1 = grid[j][1] - yi
+            for k in range(j + 1, n):
+                if dx1 * (grid[k][1] - yi) == dy1 * (grid[k][0] - xi):
+                    raise CollinearTripleError(i, j, k)
+    return ps
+
+
+def _outcome(certify, pts):
+    try:
+        return certify(pts)
+    except (DuplicatePointError, CollinearTripleError) as err:
+        return type(err), err.labels
+
+
+@pytest.mark.parametrize("pts, labels", [
+    # the first repeated direction from 0 is labels 2, 3; the first triple is (0, 1, 4)
+    ([(0, 0), (1, 1), (1, 2), (2, 4), (3, 3)], (0, 1, 4)),
+    # label 0 lies between 1 and 2: opposite directions must share a key
+    ([(0, 0), (1, 1), (-2, -2), (5, 0)], (0, 1, 2)),
+    # vertical line through 0
+    ([(0, 0), (3, 1), (0, 2), (0, -7)], (0, 2, 3)),
+    # beyond int64: the test runs on exact integers
+    ([(2**70, 2**70 + 1), (2**70 + 5, 3), (2**70 + 3, 2**70 + 7),
+      (-2**70, 2**69), (2**70 + 9, 2**70 + 19)], (0, 2, 4)),
+])
+def test_certify_first_collinear_triple_fixed_cases(pts, labels):
+    for certify in (certify_general_position, _certify_cubic):
+        with pytest.raises(CollinearTripleError) as err:
+            certify(pts)
+        assert err.value.labels == labels
+
+
+def _random_coordinate(rng):
+    if rng.random() < 0.3:
+        q = rng.randint(2, 5)
+        return Fraction(rng.randint(-6 * q, 6 * q), q)
+    return rng.randint(-6, 6)
+
+
+def test_certify_matches_cubic_reference():
+    rng = random.Random(3030)
+    raised = {DuplicatePointError: 0, CollinearTripleError: 0, PointSet: 0}
+    for _ in range(3000):
+        n = rng.randint(3, 14)
+        pts = [(_random_coordinate(rng), _random_coordinate(rng)) for _ in range(n)]
+        expected = _outcome(_certify_cubic, pts)
+        assert _outcome(certify_general_position, pts) == expected, pts
+        raised[expected[0] if isinstance(expected, tuple) else PointSet] += 1
+    # the corpus exercises all three outcomes
+    assert min(raised.values()) >= 100, raised
 
 
 def test_hull_square_and_triangle(unit_square, triangle):

@@ -46,6 +46,19 @@ def test_parse_certification_failure():
     assert err.value.labels == (0, 1, 2)
 
 
+def test_parse_rejects_exponent_notation_promptly():
+    # Fraction() would expand 10**999999999 before any check could run
+    for text in ("1e999999999 0\n", "0 0\n2 -3E999999999\n"):
+        with pytest.raises(PointSyntaxError) as err:
+            parse_point_list(text)
+        assert err.value.line_number == text.count("\n")
+        assert "exponent" in str(err.value)
+
+
+def test_parse_decimals_still_accepted():
+    assert parse_point_list("0.5 -1.25\n") == [point(Fraction(1, 2), Fraction(-5, 4))]
+
+
 def test_parse_point_list_allows_degenerate():
     pts = parse_point_list("0 0\n1 1\n2 2\n")
     assert len(pts) == 3
