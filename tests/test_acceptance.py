@@ -184,23 +184,26 @@ def _benchmark_set(n, seed):
     return trusted_point_set(sorted(pts))
 
 
-def _best_time(ps, repetitions=3):
-    best = float("inf")
+def _best_times(sets, repetitions=3):
+    """Best time of each set over the repetitions.  The sets take turns,
+    so a change in the host's CPU speed during the test falls on every
+    set alike instead of on whichever one was being timed."""
+    best = [float("inf")] * len(sets)
     for _ in range(repetitions):
-        gc.collect()
-        gc.disable()
-        start = time.perf_counter()
-        exit_edges_dual(ps)
-        best = min(best, time.perf_counter() - start)
-        gc.enable()
+        for k, ps in enumerate(sets):
+            gc.collect()
+            gc.disable()
+            start = time.perf_counter()
+            exit_edges_dual(ps)
+            best[k] = min(best[k], time.perf_counter() - start)
+            gc.enable()
     return best
 
 
 def test_criterion_7_performance():
     ps1 = _benchmark_set(1000, seed=1)
     ps2 = _benchmark_set(2000, seed=1)
-    t1 = _best_time(ps1)
-    t2 = _best_time(ps2)
+    t1, t2 = _best_times([ps1, ps2])
     ratio = t2 / t1
 
     tracemalloc.start()

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exitgraph
 from exitgraph import random_general_position, serialize_points
 from exitgraph.cli import cli
 
@@ -32,6 +37,19 @@ def test_compute_json(square_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == 1
     assert doc["exit_edges"][0] == {"endpoints": [0, 2], "witnesses": [1, 3]}
+
+
+@pytest.mark.parametrize("module", ["exitgraph", "exitgraph.cli"])
+def test_python_dash_m_runs_the_cli(square_file, capsys, module):
+    assert cli(["compute", square_file, "--json"]) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ)
+    src = str(Path(exitgraph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", module, "compute", square_file, "--json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def test_check_agrees_on_random_input(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from exitgraph import (
     CollinearTripleError,
+    DuplicatePointError,
     PointSyntaxError,
     build_report,
     certify_general_position,
@@ -13,11 +15,13 @@ from exitgraph import (
     parse_point_list,
     parse_points,
     point,
+    random_general_position,
     render_json,
     render_svg,
     serialize_points,
     stats_report,
 )
+from exitgraph.cli import cli
 from exitgraph.svg import format_number
 from conftest import random_sets
 
@@ -167,3 +171,62 @@ def test_report_without_stats(triangle):
     doc = build_report(triangle, exit_edges_dual(triangle))
     assert "stats" not in doc and "verdicts" not in doc
     assert len(doc["exit_edges"]) == 3
+
+
+def _render_json_reference(doc):
+    """Reference writer: json's own indent encoder, which render_json replaces."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _writer_coordinate(rng):
+    if rng.random() < 0.3:
+        q = rng.randint(2, 7)
+        return Fraction(rng.randint(-40 * q, 40 * q), q)
+    return rng.randint(-40, 40)
+
+
+@pytest.fixture(scope="module")
+def writer_corpus():
+    """200 seeded sets with n = 3..14 and integer, negative and p/q
+    coordinates, then one of 72 points so the numpy scan runs."""
+    rng = random.Random(5050)
+    sets = []
+    while len(sets) < 200:
+        pts = [(_writer_coordinate(rng), _writer_coordinate(rng))
+               for _ in range(rng.randint(3, 14))]
+        try:
+            sets.append(certify_general_position(pts))
+        except (DuplicatePointError, CollinearTripleError):
+            continue
+    big = random_general_position(72, rng)
+    sets.append(certify_general_position(
+        [(Fraction(p.x - 10000, 3), p.y) for p in big.points]))
+    return sets
+
+
+def test_render_json_matches_json_indent_encoder(writer_corpus):
+    rational = two_witness = with_stats = 0
+    for ps in writer_corpus:
+        edges = exit_edges_dual(ps)
+        docs = [build_report(ps, edges)]
+        if len(ps) >= 4:
+            docs.append(build_report(ps, edges, stats_report(ps)))
+        for doc in docs:
+            assert render_json(doc) == _render_json_reference(doc), serialize_points(ps)
+        rational += "/" in serialize_points(ps)
+        two_witness += any(len(e.witnesses) == 2 for e in edges)
+        with_stats += len(docs) - 1
+    assert min(rational, two_witness, with_stats) >= 50, (rational, two_witness, with_stats)
+
+
+@pytest.mark.parametrize("command", ["compute", "stats"])
+def test_cli_json_matches_json_indent_encoder(writer_corpus, tmp_path, capsys, command):
+    for k, ps in enumerate(writer_corpus[:200:20] + writer_corpus[-1:]):
+        if command == "stats" and len(ps) < 4:
+            continue
+        f = tmp_path / f"points_{k}.txt"
+        f.write_text(serialize_points(ps))
+        assert cli([command, str(f), "--json"]) == 0
+        stats = stats_report(ps) if command == "stats" else None
+        expected = _render_json_reference(build_report(ps, exit_edges_dual(ps), stats))
+        assert capsys.readouterr().out == expected, serialize_points(ps)
