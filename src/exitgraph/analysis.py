@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 
 from .dual import dual_triangles, exit_edges_dual, hourglasses
 from .geometry import (
@@ -19,9 +21,8 @@ from .geometry import (
     SizeMismatchError,
     TooFewPointsError,
     certify_general_position,
-    segments_cross,
+    turn,
 )
-from .oracle import ExitEdge
 
 
 @dataclass(frozen=True)
@@ -107,256 +108,195 @@ def stats_report(ps: PointSet) -> StatsReport:
     )
 
 
-def exit_graph_crossings(ps: PointSet) -> int:
-    """Number of unordered exit-edge pairs that properly cross."""
-    edges = exit_edges_dual(ps)
-    count = 0
-    for s in range(len(edges)):
-        a, b = edges[s].endpoints
-        for t in range(s + 1, len(edges)):
-            c, d = edges[t].endpoints
-            if a in (c, d) or b in (c, d):
-                continue
-            if segments_cross(ps[a], ps[b], ps[c], ps[d]):
-                count += 1
-    return count
+# -- crossings and the outer face of the exit graph ------------------
+#
+# Both analyses run on ``int_coords``.  The side table holds, for every
+# exit edge s = (a, b), the turn of every label against line(a, b): E·n
+# exact integer turns, after which a crossing test is two sign lookups.
+
+def _side_table(grid, edges: list[tuple[int, int]]) -> list[list[int]]:
+    return [[turn(grid[a], grid[b], p) for p in grid] for a, b in edges]
 
 
-# -- outer face of the exit graph ------------------------------------
+def _partners(side, edges, s: int, start: int = 0) -> list[int]:
+    """Edges t >= start that properly cross edge s.
 
-def _direction_key(dx: Fraction, dy: Fraction):
-    """Sort key for directions, counterclockwise from the positive x axis.
-
-    Within a halfplane the cross product orders directions, so the key is
-    (halfplane, comparator-wrapped direction).
+    Two edges cross iff the endpoints of each lie strictly on opposite
+    sides of the other's line.  A shared endpoint reads 0 in the side
+    table, so such pairs drop out without a test of their own.  Collinear
+    overlap cannot occur: exit_edges_dual has already raised
+    ConcurrentLinesError on any collinear triple of labels.
     """
-    upper = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+    a, b = edges[s]
+    row = side[s]
+    return [t for t, (c, d), other in zip(range(start, len(edges)), edges[start:], side[start:])
+            if row[c] * row[d] < 0 and other[a] * other[b] < 0]
 
-    class _Dir:
-        __slots__ = ("dx", "dy")
 
-        def __init__(self, dx, dy):
-            self.dx, self.dy = dx, dy
+def exit_graph_crossings(ps: PointSet) -> int:
+    """Number of unordered exit-edge pairs that properly cross: O(E·n)
+    integer turns plus O(E^2) sign lookups, exact for any coordinates."""
+    edges = [e.endpoints for e in exit_edges_dual(ps)]
+    side = _side_table(ps.int_coords, edges)
+    return sum(len(_partners(side, edges, s, s + 1)) for s in range(len(edges)))
 
-        def __lt__(self, other):
-            return self.dx * other.dy - self.dy * other.dx > 0
 
-        def __eq__(self, other):
-            return self.dx * other.dy - self.dy * other.dx == 0
+def _ccw(d: tuple[int, int], e: tuple[int, int]) -> int:
+    """Comparator of directions, counterclockwise from the positive x axis."""
+    lower_d = d[1] < 0 or (d[1] == 0 and d[0] < 0)
+    lower_e = e[1] < 0 or (e[1] == 0 and e[0] < 0)
+    return (lower_d - lower_e) or -turn((0, 0), d, e)
 
-    return (upper, _Dir(dx, dy))
+
+_by_angle = cmp_to_key(_ccw)
 
 
 class _Subdivision:
-    """Planar subdivision induced by a set of segments on S.
+    """The exit graph drawn in the plane with its crossings as vertices,
+    built lazily along the edges that walks and rays reach.
 
-    Vertices are the exact segment endpoints plus all proper crossing
-    points; faces are traced with the interior on the left, so bounded
-    faces appear as positive-area cycles and every other walk bounds its
-    face from inside.
+    Vertices 0..n-1 are the labels; a crossing is a reduced integer
+    homogeneous triple (X, Y, W), W > 0, so concurrent crossings merge.
+    A dart (v, s, sgn) leaves vertex v along edge s = (a, b), towards b
+    (sgn = 1) or towards a (sgn = -1).  Walks keep their face on the left.
     """
 
-    OUTER = -1
+    def __init__(self, ps: PointSet, edges: list[tuple[int, int]]):
+        self.grid = grid = ps.int_coords
+        self.edges = edges
+        self.dirs = [(grid[b][0] - grid[a][0], grid[b][1] - grid[a][1]) for a, b in edges]
+        self.side = _side_table(grid, edges)
+        self.coords = [(x, y, 1) for x, y in grid]
+        self.vid = {c: v for v, c in enumerate(self.coords)}
+        self.darts_at: list[list[tuple[int, int]]] = [[] for _ in grid]  # (s, sgn)
+        for s, (a, b) in enumerate(edges):
+            self.darts_at[a].append((s, 1))
+            self.darts_at[b].append((s, -1))
+        self._chains: dict[int, tuple[list[int], dict[int, int]]] = {}
+        self._orders: dict[int, list[tuple[int, int]]] = {}
 
-    def __init__(self, ps: PointSet, edges: tuple[ExitEdge, ...]):
-        self.ps = ps
-        pos: list[tuple[Fraction, Fraction]] = []
-        vid: dict[tuple[Fraction, Fraction], int] = {}
+    def _crossing(self, key: tuple[int, int, int], s: int, t: int) -> int:
+        v = self.vid.setdefault(key, len(self.coords))
+        if v == len(self.coords):
+            self.coords.append(key)
+            self.darts_at.append([])
+        for u in (s, t):
+            if (u, 1) not in self.darts_at[v]:
+                self.darts_at[v] += [(u, 1), (u, -1)]
+        return v
 
-        def vertex(x: Fraction, y: Fraction) -> int:
-            key = (x, y)
-            if key not in vid:
-                vid[key] = len(pos)
-                pos.append(key)
-            return vid[key]
+    def _chain(self, s: int) -> tuple[list[int], dict[int, int]]:
+        """Vertices along edge s from a to b, and their positions."""
+        if s not in self._chains:
+            a, b = self.edges[s]
+            xa, ya = self.grid[a]
+            d1x, d1y = self.dirs[s]
+            splits = []  # (num, den, vertex): the crossing at a + (num/den)·d1
+            for t in _partners(self.side, self.edges, s):
+                xc, yc = self.grid[self.edges[t][0]]
+                d2x, d2y = self.dirs[t]
+                den = d1x * d2y - d1y * d2x
+                num = (xc - xa) * d2y - (yc - ya) * d2x
+                if den < 0:
+                    num, den = -num, -den
+                X, Y = xa * den + num * d1x, ya * den + num * d1y
+                g = gcd(X, Y, den)
+                splits.append((num, den, self._crossing((X // g, Y // g, den // g), s, t)))
+            # distinct fractions in (0, 1) differ by at least 1/q2, so the
+            # floor of num * q2 / den orders them exactly
+            q2 = max((den for _, den, _ in splits), default=1) ** 2
+            splits.sort(key=lambda sp: sp[0] * q2 // sp[1])
+            chain = [a, *dict.fromkeys(v for _, _, v in splits), b]
+            self._chains[s] = chain, {v: i for i, v in enumerate(chain)}
+        return self._chains[s]
 
-        self.label_of: dict[int, int] = {}
-        segs = []
-        for e in edges:
-            a, b = e.endpoints
-            pa, pb = ps[a], ps[b]
-            va = vertex(pa.x, pa.y)
-            vb = vertex(pb.x, pb.y)
-            self.label_of[va] = a
-            self.label_of[vb] = b
-            segs.append((pa, pb, va, vb))
+    def _order(self, v: int) -> list[tuple[int, int]]:
+        """The darts leaving v, counterclockwise from the positive x axis."""
+        if v not in self._orders:
+            self._orders[v] = sorted(self.darts_at[v], key=lambda o: _by_angle(
+                (o[1] * self.dirs[o[0]][0], o[1] * self.dirs[o[0]][1])))
+        return self._orders[v]
 
-        # proper crossings, split parameters per segment
-        splits: list[list[tuple[Fraction, int]]] = [[] for _ in segs]
-        for s in range(len(segs)):
-            pa, pb, va, vb = segs[s]
-            for t in range(s + 1, len(segs)):
-                qa, qb, wa, wb = segs[t]
-                if va in (wa, wb) or vb in (wa, wb):
-                    continue
-                if not segments_cross(pa, pb, qa, qb):
-                    continue
-                d1x, d1y = pb.x - pa.x, pb.y - pa.y
-                d2x, d2y = qb.x - qa.x, qb.y - qa.y
-                denom = d1x * d2y - d1y * d2x
-                tt = ((qa.x - pa.x) * d2y - (qa.y - pa.y) * d2x) / denom
-                cx, cy = pa.x + tt * d1x, pa.y + tt * d1y
-                v = vertex(cx, cy)
-                ss = ((qa.x - pa.x) * d1y - (qa.y - pa.y) * d1x) / denom
-                splits[s].append((tt, v))
-                splits[t].append((ss, v))
+    def _walk(self, dart: tuple[int, int, int]) -> set[tuple[int, int, int]]:
+        """The darts of the face walk through dart."""
+        darts = set()
+        while dart not in darts:
+            darts.add(dart)
+            v, s, sgn = dart
+            chain, pos = self._chain(s)
+            w = chain[pos[v] + sgn]
+            order = self._order(w)
+            dart = (w, *order[order.index((s, -sgn)) - 1])
+        return darts
 
-        adj: dict[int, set[int]] = {}
-
-        def link(u: int, v: int):
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-
-        for s, (pa, pb, va, vb) in enumerate(segs):
-            chain = [va] + [v for _, v in sorted(splits[s])] + [vb]
-            for u, v in zip(chain, chain[1:]):
-                link(u, v)
-
-        self.pos = pos
-        self.adj = adj
-
-        # counterclockwise neighbor order around every vertex
-        self.nbr_order: dict[int, list[int]] = {}
-        self.nbr_pos: dict[int, dict[int, int]] = {}
-        for v, nbrs in adj.items():
-            vx, vy = pos[v]
-            ordered = sorted(
-                nbrs, key=lambda w: _direction_key(pos[w][0] - vx, pos[w][1] - vy))
-            self.nbr_order[v] = ordered
-            self.nbr_pos[v] = {w: t for t, w in enumerate(ordered)}
-
-        self._trace_walks()
-        self._group_walks()
-
-    def _trace_walks(self):
-        walk_of: dict[tuple[int, int], int] = {}
-        walks: list[list[tuple[int, int]]] = []
-        for v, nbrs in self.adj.items():
-            for w in nbrs:
-                if (v, w) in walk_of:
-                    continue
-                cycle = []
-                cur = (v, w)
-                while cur not in walk_of:
-                    walk_of[cur] = len(walks)
-                    cycle.append(cur)
-                    u, x = cur
-                    nxt = self.nbr_order[x][self.nbr_pos[x][u] - 1]
-                    cur = (x, nxt)
-                walks.append(cycle)
-        self.walks = walks
-        self.walk_of = walk_of
-        self.areas = []
-        for cycle in walks:
-            doubled = Fraction(0)
-            for u, v in cycle:
-                (ux, uy), (vx, vy) = self.pos[u], self.pos[v]
-                doubled += ux * vy - vx * uy
-            self.areas.append(doubled)
-
-    def _first_hit_east(self, x0: Fraction, y0: Fraction,
-                        skip_vertex: int | None) -> tuple[int, int] | None:
-        """First subdivision edge hit by the ray east from (x0, y0+eps);
-        returns it directed with the ray origin on its left."""
+    def _east_hit(self, c: int) -> tuple[int, int, int] | None:
+        """The dart first hit by the ray east from label c, lifted by an
+        infinitesimal, directed upwards (so the ray's origin is on its
+        left); None if the ray escapes."""
+        x0, y0 = self.grid[c]
         best = None
-        best_edge = None
-        for u, nbrs in self.adj.items():
-            ux, uy = self.pos[u]
-            for w in nbrs:
-                if u > w:
-                    continue
-                if skip_vertex is not None and skip_vertex in (u, w):
-                    continue
-                wx, wy = self.pos[w]
-                if uy <= y0 < wy or wy <= y0 < uy:
-                    xs = ux + (y0 - uy) * (wx - ux) / (wy - uy)
-                    if xs <= x0:
-                        continue
-                    slope = (wx - ux) / (wy - uy)  # oriented upward
-                    key = (xs, slope)
-                    if best is None or key < best:
-                        best = key
-                        best_edge = (u, w)
-        if best_edge is None:
-            return None
-        u, w = best_edge
-        (ux, uy), (wx, wy) = self.pos[u], self.pos[w]
-        side = (wx - ux) * (y0 - uy) - (wy - uy) * (x0 - ux)
-        if side > 0:
-            return (u, w)
-        if side < 0:
-            return (w, u)
-        # origin on the supporting line: the infinitesimal lift decides
-        return (u, w) if wx > ux else (w, u)
-
-    def _group_walks(self):
-        parent: dict[int, int] = {t: t for t in range(len(self.walks))}
-        parent[self.OUTER] = self.OUTER
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t, cycle in enumerate(self.walks):
-            if self.areas[t] > 0:
+        for s, (a, b) in enumerate(self.edges):
+            up = 1 if self.dirs[s][1] > 0 else -1
+            (x1, y1), (x2, y2) = self.grid[a], self.grid[b]
+            if up < 0:
+                (x1, y1), (x2, y2) = (x2, y2), (x1, y1)
+            if not y1 <= y0 < y2 or self.side[s][c] * up <= 0:
                 continue
-            verts = {u for u, _ in cycle}
-            vr = max(verts, key=lambda v: self.pos[v])
-            x0, y0 = self.pos[vr]
-            hit = self._first_hit_east(x0, y0, vr)
-            target = self.OUTER if hit is None else self.walk_of[hit]
-            ra, rb = find(t), find(target)
-            if ra != rb:
-                if rb == self.OUTER or ra == self.OUTER:
-                    ra, rb = (ra, rb) if rb == self.OUTER else (rb, ra)
-                    parent[ra] = self.OUTER
-                else:
-                    parent[ra] = rb
-        self._find = find
+            # x of the edge at y0 is num / den; dx / den orders ties at y0 + eps
+            den, dx = y2 - y1, x2 - x1
+            num = x1 * den + (y0 - y1) * dx
+            if best is None or (num * best[1], dx * best[1]) < (best[0] * den, best[2] * den):
+                best = (num, den, dx, s, up)
+        if best is None:
+            return None
+        s, up = best[3:]
+        chain = self._chain(s)[0][::up]
+        below = sum(self.coords[v][1] <= y0 * self.coords[v][2] for v in chain)
+        return (chain[below - 1], s, up)
 
-    def walk_is_outer(self, t: int) -> bool:
-        return self._find(t) == self.OUTER
+    def outer_labels(self) -> set[int]:
+        """Labels incident to the unbounded face.
 
-    def point_in_outer_face(self, x: Fraction, y: Fraction) -> bool:
-        hit = self._first_hit_east(x, y, None)
-        if hit is None:
-            return True
-        return self.walk_is_outer(self.walk_of[hit])
+        Labels are visited from the lexicographically largest down.  The
+        ray east from label c first hits a dart whose edge reaches east of
+        c, so if that dart bounds the unbounded face, its walk was traced
+        already.  Hence c's east corner lies in the unbounded face iff the
+        ray escapes or hits a traced dart; c is then the largest label of
+        its component, all its darts point west, and the last of them in
+        counterclockwise order starts the walk around that corner.
+        """
+        outer: set[int] = set()
+        darts: set[tuple[int, int, int]] = set()
+        for c in sorted(range(len(self.grid)), key=self.grid.__getitem__, reverse=True):
+            if c in outer:
+                continue
+            hit = self._east_hit(c)
+            if hit is not None and hit not in darts:
+                continue
+            outer.add(c)
+            if self.darts_at[c]:
+                walk = self._walk((c, *self._order(c)[-1]))
+                darts |= walk
+                outer.update(v for v, _, _ in walk if v < len(self.grid))
+        return outer
 
 
 def outer_face_vertices(ps: PointSet) -> set[int]:
     """Labels of points incident to the unbounded face of the planar
-    subdivision induced by the exit graph (crossings subdivide edges)."""
-    edges = exit_edges_dual(ps)
-    if not edges:
-        return set(ps.labels())
-    sub = _Subdivision(ps, edges)
-    out: set[int] = set()
-    for t, cycle in enumerate(sub.walks):
-        if not sub.walk_is_outer(t):
-            continue
-        for u, _ in cycle:
-            if u in sub.label_of:
-                out.add(sub.label_of[u])
-    touched = {lab for lab in sub.label_of.values()}
-    for lab in ps.labels():
-        if lab not in touched and sub.point_in_outer_face(ps[lab].x, ps[lab].y):
-            out.add(lab)
-    return out
+    subdivision induced by the exit graph (crossings subdivide edges).
+
+    Costs the side table, O(E) per label for its ray, and O(E) sign
+    lookups for each edge that a ray or the walk around the unbounded
+    face reaches; exact for any coordinates.
+    """
+    return _Subdivision(ps, [e.endpoints for e in exit_edges_dual(ps)]).outer_labels()
 
 
 # -- order types ------------------------------------------------------
 
-def _triple_sign(grid, i: int, j: int, k: int) -> int:
-    (xi, yi), (xj, yj), (xk, yk) = grid[i], grid[j], grid[k]
-    v = (xj - xi) * (yk - yi) - (yj - yi) * (xk - xi)
-    return (v > 0) - (v < 0)
-
-
-def same_order_type_labeled(s: PointSet, t: PointSet) -> bool:
-    """True iff every labeled triple has the same orientation in both sets."""
+def _first_orientation_mismatch(s: PointSet, t: PointSet) -> tuple[int, int, int] | None:
+    """The lexicographically first labeled triple i < j < k whose
+    orientation differs between s and t, or None."""
     if len(s) != len(t):
         raise SizeMismatchError(f"sizes differ: {len(s)} vs {len(t)}")
     gs, gt = s.int_coords, t.int_coords
@@ -364,9 +304,14 @@ def same_order_type_labeled(s: PointSet, t: PointSet) -> bool:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if _triple_sign(gs, i, j, k) != _triple_sign(gt, i, j, k):
-                    return False
-    return True
+                if turn(gs[i], gs[j], gs[k]) != turn(gt[i], gt[j], gt[k]):
+                    return (i, j, k)
+    return None
+
+
+def same_order_type_labeled(s: PointSet, t: PointSet) -> bool:
+    """True iff every labeled triple has the same orientation in both sets."""
+    return _first_orientation_mismatch(s, t) is None
 
 
 def find_order_type_bijection(s: PointSet, t: PointSet) -> list[int] | None:
@@ -391,7 +336,7 @@ def find_order_type_bijection(s: PointSet, t: PointSet) -> list[int] | None:
             ok = True
             for a in range(i):
                 for b in range(a + 1, i):
-                    if _triple_sign(gs, a, b, i) != _triple_sign(gt, phi[a], phi[b], cand):
+                    if turn(gs[a], gs[b], gs[i]) != turn(gt[phi[a]], gt[phi[b]], gt[cand]):
                         ok = False
                         break
                 if not ok:
@@ -431,19 +376,7 @@ def compare_exit_structures(s: PointSet, t: PointSet) -> ExitStructureComparison
         for pair in sorted(set(es) & set(et))
         if es[pair] != et[pair]
     )
-    mismatch = None
-    gs, gt = s.int_coords, t.int_coords
-    n = len(s)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if _triple_sign(gs, i, j, k) != _triple_sign(gt, i, j, k):
-                    mismatch = (i, j, k)
-                    break
-            if mismatch:
-                break
-        if mismatch:
-            break
+    mismatch = _first_orientation_mismatch(s, t)
     return ExitStructureComparison(
         same_exit_structure=not (only_s or only_t or wit),
         same_order_type=mismatch is None,

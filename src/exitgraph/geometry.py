@@ -142,6 +142,14 @@ def orientation(p: Point, q: Point, r: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
+def turn(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> int:
+    """Turn of (p, q, r) on integer coordinates such as ``int_coords``:
+    1 counterclockwise, -1 clockwise, 0 collinear.  Exact for integers of
+    any size."""
+    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return (v > 0) - (v < 0)
+
+
 def _first_duplicate(points: Sequence[Point]) -> tuple[int, int] | None:
     seen: dict[tuple[Fraction, Fraction], list[int]] = {}
     for i, p in enumerate(points):
@@ -210,20 +218,14 @@ def convex_hull(ps: PointSet) -> list[int]:
         raise TooFewPointsError(f"convex hull needs at least 3 points, got {n}")
     grid = ps.int_coords
     order = sorted(range(n), key=lambda i: grid[i])
-
-    def turn(i: int, j: int, k: int) -> int:
-        (xi, yi), (xj, yj), (xk, yk) = grid[i], grid[j], grid[k]
-        v = (xj - xi) * (yk - yi) - (yj - yi) * (xk - xi)
-        return (v > 0) - (v < 0)
-
     lower: list[int] = []
     for i in order:
-        while len(lower) >= 2 and turn(lower[-2], lower[-1], i) <= 0:
+        while len(lower) >= 2 and turn(grid[lower[-2]], grid[lower[-1]], grid[i]) <= 0:
             lower.pop()
         lower.append(i)
     upper: list[int] = []
     for i in reversed(order):
-        while len(upper) >= 2 and turn(upper[-2], upper[-1], i) <= 0:
+        while len(upper) >= 2 and turn(grid[upper[-2]], grid[upper[-1]], grid[i]) <= 0:
             upper.pop()
         upper.append(i)
     return lower[:-1] + upper[:-1]

@@ -1,25 +1,35 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import exitgraph
 from exitgraph import (
+    CollinearTripleError,
+    DuplicatePointError,
     SizeMismatchError,
     TooFewPointsError,
     certify_general_position,
     compare_exit_structures,
     convex_hull,
     exit_edges_bruteforce,
+    exit_edges_dual,
     exit_graph_crossings,
     find_order_type_bijection,
     outer_face_vertices,
     random_general_position,
     same_order_type_labeled,
     search_min_exit_edges,
+    segments_cross,
     shear_to_generic,
     stats_report,
 )
 from conftest import random_sets
+from exitgraph.analysis import _Subdivision
 
 
 def test_square_stats(unit_square):
@@ -88,6 +98,73 @@ def test_crossings_present_for_nine_or_more():
         assert exit_graph_crossings(ps) >= 1
 
 
+def _crossings_reference(ps):
+    """The Fraction double loop exit_graph_crossings once ran."""
+    edges = exit_edges_dual(ps)
+    count = 0
+    for s in range(len(edges)):
+        a, b = edges[s].endpoints
+        for t in range(s + 1, len(edges)):
+            c, d = edges[t].endpoints
+            if a in (c, d) or b in (c, d):
+                continue
+            if segments_cross(ps[a], ps[b], ps[c], ps[d]):
+                count += 1
+    return count
+
+
+_KINDS = ("int", "rational", "big")
+_BIG = 1 << 66
+
+
+def _coordinate(kind, rng, n):
+    # the small integer grid makes shared x and y common: horizontal and
+    # vertical edges, and rays through vertices
+    if kind == "int":
+        return rng.randint(0, 3 * n)
+    if kind == "rational":
+        return Fraction(rng.randint(-4 * n * n, 4 * n * n), rng.randint(1, 9))
+    return _BIG + rng.randint(0, 4 * n * n) * (1 << 30)
+
+
+def _mixed_sets(count, n_lo, n_hi, seed, kinds=_KINDS):
+    """Certified sets with small integer, p/q and above-2^64 coordinates,
+    the kinds in turn."""
+    rng = random.Random(seed)
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        n = rng.randint(n_lo, n_hi)
+        while True:
+            pts = [(_coordinate(kind, rng, n), _coordinate(kind, rng, n)) for _ in range(n)]
+            try:
+                yield kind, certify_general_position(pts)
+                break
+            except (CollinearTripleError, DuplicatePointError):
+                continue
+
+
+def test_crossings_match_reference_loop():
+    kinds = dict.fromkeys(_KINDS, 0)
+    for kind, ps in _mixed_sets(240, 4, 14, seed=1616):
+        assert exit_graph_crossings(ps) == _crossings_reference(ps)
+        kinds[kind] += 1
+    assert all(v == 80 for v in kinds.values())
+
+
+# four exit edges pass through the origin, so four crossings merge there
+_CONCURRENT = [(0, 1), (3, -3), (-3, -6), (6, -2), (-2, 6),
+               (0, -1), (-3, 3), (3, 6), (-6, 2), (2, -6)]
+
+
+def test_concurrent_crossings():
+    ps = certify_general_position(_CONCURRENT)
+    through_origin = [(a, b) for a, b in (e.endpoints for e in exit_edges_dual(ps))
+                      if (ps[a].x, ps[a].y) == (-ps[b].x, -ps[b].y)]
+    assert len(through_origin) == 4
+    assert exit_graph_crossings(ps) == _crossings_reference(ps) == 38
+    assert outer_face_vertices(ps) == set(convex_hull(ps))
+
+
 def test_outer_face_square_and_triangle(unit_square, triangle):
     assert outer_face_vertices(unit_square) == {0, 1, 2, 3}
     assert outer_face_vertices(triangle) == {0, 1, 2}
@@ -99,6 +176,110 @@ def test_outer_face_within_hull():
     # segment-free), so equality pins the subdivision tracing down hard
     for ps in random_sets(60, 4, 12, seed=1515):
         assert outer_face_vertices(ps) == set(convex_hull(ps))
+
+
+def test_outer_face_is_hull_at_benchmark_sizes():
+    # n = 30..40 has thousands of crossings, the regime of the benchmark
+    for kind, ps in _mixed_sets(8, 30, 40, seed=1717, kinds=("rational", "big")):
+        assert exit_graph_crossings(ps) > 1000, kind
+        assert outer_face_vertices(ps) == set(convex_hull(ps)), kind
+
+
+def test_outer_face_with_labels_off_the_exit_graph():
+    # a label on no exit edge is placed by its ray alone
+    sets_with_one = sets_with_horizontal = 0
+    for _, ps in _mixed_sets(300, 3, 14, seed=1818):
+        edges = [e.endpoints for e in exit_edges_dual(ps)]
+        sets_with_one += len({v for e in edges for v in e}) < len(ps)
+        sets_with_horizontal += any(ps[a].y == ps[b].y for a, b in edges)
+        assert outer_face_vertices(ps) == set(convex_hull(ps))
+    assert sets_with_one >= 60 and sets_with_horizontal >= 10
+
+
+def test_small_analyses_never_load_numpy():
+    # below 64 points the exact Python scan runs; analysis_mix's memory
+    # figure rests on numpy staying unloaded
+    code = (
+        "import random, sys, exitgraph\n"
+        "ps = exitgraph.random_general_position(40, random.Random(3))\n"
+        "exitgraph.stats_report(ps)\n"
+        "exitgraph.exit_graph_crossings(ps)\n"
+        "exitgraph.outer_face_vertices(ps)\n"
+        "exitgraph.search_min_exit_edges(12, 3, 4)\n"
+        "exitgraph.render_svg(ps, 'dual')\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(exitgraph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+# point sets with hand-drawn edge lists (not exit graphs) and the labels
+# on their unbounded face, checked against the Fraction subdivision the
+# outer face was once traced on
+_DRAWINGS = {
+    # a triangle with a horizontal side, holding a triangle and a label;
+    # a second triangle beside it, a label outside both, one level with the apex of the first
+    # one (its ray passes through that apex)
+    "nested": ([(0, 0), (20, 0), (9, 19), (7, 5), (12, 6), (9, 10), (10, 3),
+                (30, 2), (36, 3), (33, 9), (25, 20), (-5, 19)],
+               [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (7, 8), (8, 9), (7, 9)],
+               {0, 1, 2, 7, 8, 9, 10, 11}),
+    # a pentagram: 5 in the middle pentagon, 7 in a tip, 6 in a notch
+    "pentagram": ([(0, 10), (-10, 3), (-6, -8), (6, -8), (10, 3), (1, 1), (0, -7), (1, 6)],
+                  [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)],
+                  {0, 1, 2, 3, 4, 6}),
+    # three edges through the origin and one closing a triangle with it; 6
+    # lies in that triangle
+    "concurrent": ([(-4, -1), (4, 1), (-1, 4), (1, -4), (-3, 3), (3, -3), (2, -1)],
+                   [(0, 1), (2, 3), (4, 5), (1, 3)],
+                   {0, 1, 2, 3, 4, 5}),
+    # the ray from 0 passes through label 1, where two edges start upwards;
+    # the left one bounds the quadrilateral holding 0
+    "ray_through_label": ([(0, 0), (10, 0), (8, 10), (14, 9), (-6, 9), (-5, -7)],
+                          [(1, 3), (1, 2), (2, 4), (4, 5), (1, 5)],
+                          {1, 2, 3, 4, 5}),
+    # a triangle on a horizontal side that edge (2, 3) crosses from below;
+    # 5 lies inside, and the ray from 4 passes through label 2
+    "crossed_horizontal": ([(0, 0), (10, 0), (-3, -3), (6, 4), (-6, -3), (5, 2)],
+                           [(0, 1), (1, 3), (0, 3), (2, 3)],
+                           {0, 1, 2, 3, 4}),
+    # edges (2, 3) and (4, 5) cross (0, 1) at x = 3/72 and x = 3/75: a
+    # tight pair of split points, ordered against the edge numbering
+    "close_crossings": ([(0, 0), (1, 0), (-1, -25), (2, 47), (-1, 26), (2, -49)],
+                        [(0, 1), (2, 3), (4, 5)],
+                        {0, 1, 2, 3, 4, 5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAWINGS))
+def test_outer_face_of_drawings(name):
+    pts, edges, expected = _DRAWINGS[name]
+    ps = certify_general_position(pts)
+    assert _Subdivision(ps, edges).outer_labels() == expected
+
+
+def _assert_chains_advance(ps, edges):
+    # every edge's vertices, crossings included, strictly advance from a to b
+    sub = _Subdivision(ps, edges)
+    for s, (a, b) in enumerate(edges):
+        chain, _ = sub._chain(s)
+        dx, dy = sub.dirs[s]
+        along = [Fraction(X * dx + Y * dy, W) for X, Y, W in (sub.coords[v] for v in chain)]
+        assert chain[0] == a and chain[-1] == b
+        assert all(p < q for p, q in zip(along, along[1:]))
+    return len(sub.coords) - len(ps)
+
+
+def test_subdivision_chains_run_along_their_edges():
+    for _, ps in _mixed_sets(4, 30, 40, seed=1919, kinds=("rational", "big")):
+        edges = [e.endpoints for e in exit_edges_dual(ps)]
+        assert _assert_chains_advance(ps, edges) == exit_graph_crossings(ps)
+    for pts, edges, _ in _DRAWINGS.values():
+        _assert_chains_advance(certify_general_position(pts), edges)
 
 
 def test_same_order_type_trivial_and_shear(unit_square):
