@@ -13,6 +13,13 @@ through infinity).  Three lines bound a triangular cell iff on each of
 them the crossings with the other two are cyclically adjacent and the
 number of infinity arcs used is even; an odd count would give a
 non-separating curve, which bounds nothing.
+
+One pure-Python scan, ``_scan_cells``, makes these tests and decides each
+cell's exit vertex and witness; ``dual_triangles`` and ``exit_edges_dual``
+both consume it (``fastscan.scan_exit_items_np`` is its numpy
+counterpart for large inputs).  Three lines have two crossings each, so
+their four cells cannot be told apart by adjacency: n = 3 is decided by
+a closed form instead, before any scan.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterator, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import GeometryError, PointSet, TooFewPointsError, shear_to_generic
 from .oracle import ExitEdge
@@ -70,6 +78,28 @@ def crossing_position(la: DualLine, lb: DualLine) -> tuple[Fraction, Fraction]:
     return x, la.y_at(x)
 
 
+def _exact_row(a: Sequence[int], b: Sequence[int], i: int, row: list[int]) -> list[int]:
+    """``row`` sorted exactly by the x of each line's crossing with line i.
+
+    Raises ConcurrentLinesError when two of those crossings coincide.
+    """
+    ai, bi = a[i], b[i]
+
+    def cmp(j: int, k: int) -> int:
+        d1 = ai - a[j]
+        d2 = ai - a[k]
+        s = (b[j] - bi) * d2 - (b[k] - bi) * d1
+        if (d1 < 0) != (d2 < 0):
+            s = -s
+        return (s > 0) - (s < 0)
+
+    row = sorted(row, key=cmp_to_key(cmp))
+    for j, k in zip(row, row[1:]):
+        if cmp(j, k) == 0:
+            raise ConcurrentLinesError(i, *sorted((j, k)))
+    return row
+
+
 def crossing_tables(a: Sequence[int], b: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
     """Per-line crossing orders of the lines y = a[i]*x + b[i].
 
@@ -96,26 +126,14 @@ def crossing_tables(a: Sequence[int], b: Sequence[int]) -> tuple[list[list[int]]
         ai = a[i]
         bi = b[i]
         row = ids[:i] + ids[i + 1:]
-
-        def exact_cmp(j: int, k: int) -> int:
-            d1 = ai - a[j]
-            d2 = ai - a[k]
-            s = (b[j] - bi) * d2 - (b[k] - bi) * d1
-            if d1 < 0:
-                s = -s
-            if d2 < 0:
-                s = -s
-            return (s > 0) - (s < 0)
-
         try:
             row.sort(key=lambda j: (b[j] - bi) / (ai - a[j]))
         except OverflowError:
-            row.sort(key=cmp_to_key(exact_cmp))
+            row = _exact_row(a, b, i, row)
         # certify the order: an unsorted row always has an adjacent inversion
         prev = row[0]
         dp = ai - a[prev]
         np_ = b[prev] - bi
-        resort = False
         for t in range(1, n - 1):
             cur = row[t]
             dc = ai - a[cur]
@@ -128,14 +146,9 @@ def crossing_tables(a: Sequence[int], b: Sequence[int]) -> tuple[list[list[int]]
             if s >= 0:
                 if s == 0:
                     raise ConcurrentLinesError(i, *sorted((prev, cur)))
-                resort = True
+                row = _exact_row(a, b, i, row)
                 break
             prev, dp, np_ = cur, dc, nc
-        if resort:
-            row.sort(key=cmp_to_key(exact_cmp))
-            for t in range(len(row) - 1):
-                if exact_cmp(row[t], row[t + 1]) == 0:
-                    raise ConcurrentLinesError(i, *sorted((row[t], row[t + 1])))
         ranks = [0] * n
         for pos, j in enumerate(row):
             ranks[j] = ids[pos]
@@ -170,62 +183,33 @@ class Hourglass:
     slicing_lines: tuple[int, int]
 
 
-def _directed_arcs(rank: list[list[int]], m: int, i: int, j: int, k: int,
-                   inf_i: bool, inf_j: bool, inf_k: bool):
-    """The three boundary arcs directed along their lines.
+# (i, j, k, inf_i, inf_j, inf_k, w): the three lines with i the smallest,
+# whether each line bounds the cell by its arc through infinity, and the
+# witness line w, or -1 for the marked cell
+_Cell = tuple[int, int, int, bool, bool, bool, int]
 
-    Bounded arcs run left to right; the infinity arc runs from the
-    rightmost crossing through infinity to the leftmost one.
+
+def _scan_cells(order: list[list[int]], rank: list[list[int]]) -> Iterator[_Cell]:
+    """Yield every triangular cell exactly once, from its smallest line i;
+    needs at least 4 lines, so m = n - 1 >= 3 crossings per line.
+
+    The cell's arc on line i joins its crossing with j to the next one,
+    with k (cyclically: the last gap is the arc through infinity, which
+    ``wrap`` marks).  On line j, the difference d of the ranks of i and k
+    is +-1 for adjacent crossings, +-(m-1) for the two ends of the
+    infinity arc, and anything else for no cell; likewise on line k.
+    Directing each arc along its line (left to right, or through infinity
+    from the rightmost crossing), the arc on i heads at v_ik, and the arc
+    on j heads at v_ij iff i follows k cyclically (d = 1 or 1 - m).  The
+    three heads give the in-degrees of the three vertices: a directed
+    cycle is the marked cell; otherwise the vertex of in-degree 2 is the
+    exit vertex and the third line is the witness.
     """
-    def arc(x: int, u: int, v: int, through_inf: bool) -> tuple[int, int, int]:
-        if through_inf:
-            return (x, u, v) if rank[x][u] == m - 1 else (x, v, u)
-        return (x, u, v) if rank[x][u] < rank[x][v] else (x, v, u)
-
-    return arc(i, j, k, inf_i), arc(j, i, k, inf_j), arc(k, i, j, inf_k)
-
-
-def _assemble(rank: list[list[int]], m: int, i: int, j: int, k: int,
-              inf_i: bool, inf_j: bool, inf_k: bool) -> DualTriangle:
-    arcs = _directed_arcs(rank, m, i, j, k, inf_i, inf_j, inf_k)
-    indeg: dict[tuple[int, int], int] = {}
-    for x, t, h in arcs:
-        tail = (x, t) if x < t else (t, x)
-        head = (x, h) if x < h else (h, x)
-        indeg.setdefault(tail, 0)
-        indeg[head] = indeg.get(head, 0) + 1
-    lines = tuple(sorted((i, j, k)))
-    verts = tuple(sorted(indeg))
-    unbounded = frozenset(
-        x for x, flag in ((i, inf_i), (j, inf_j), (k, inf_k)) if flag)
-    if sorted(indeg.values()) == [1, 1, 1]:
-        return DualTriangle(lines, verts, unbounded, True, None, None)
-    exit_pair = next(v for v, d in indeg.items() if d == 1)
-    witness = next(l for l in lines if l not in exit_pair)
-    return DualTriangle(lines, verts, unbounded, False, exit_pair, witness)
-
-
-def _scan_triangles(order: list[list[int]], rank: list[list[int]]) -> Iterator[DualTriangle]:
-    """Yield every triangular cell exactly once (from its smallest line)."""
     n = len(order)
-    m = n - 1
-    if m == 2:
-        # two crossings per line: both arcs between them are empty, so
-        # enumerate arc-type combinations explicitly
-        i, row = 0, order[0]
-        for idx in range(m):
-            j = row[idx]
-            wrap = idx == m - 1
-            k = row[0] if wrap else row[idx + 1]
-            for inf_j in (False, True):
-                for inf_k in (False, True):
-                    if (wrap + inf_j + inf_k) % 2 == 0:
-                        yield _assemble(rank, m, i, j, k, wrap, inf_j, inf_k)
-        return
-    m1 = m - 1
+    m1 = n - 2
     for i in range(n):
         row = order[i]
-        for idx in range(m):
+        for idx in range(n - 1):
             j = row[idx]
             if j < i:
                 continue
@@ -234,104 +218,48 @@ def _scan_triangles(order: list[list[int]], rank: list[list[int]]) -> Iterator[D
             if k < i:
                 continue
             rj = rank[j]
-            rji = rj[i]
-            rjk = rj[k]
-            d = rji - rjk
-            if d == 1 or d == -1:
-                inf_j = False
-            elif (rji == 0 and rjk == m1) or (rjk == 0 and rji == m1):
-                inf_j = True
-            else:
+            dj = rj[i] - rj[k]
+            if dj != 1 and dj != -1 and dj != m1 and dj != -m1:
                 continue
             rk = rank[k]
-            rki = rk[i]
-            rkj = rk[j]
-            d = rki - rkj
-            if d == 1 or d == -1:
-                inf_k = False
-            elif (rki == 0 and rkj == m1) or (rkj == 0 and rki == m1):
-                inf_k = True
-            else:
+            dk = rk[i] - rk[j]
+            if dk != 1 and dk != -1 and dk != m1 and dk != -m1:
                 continue
-            if (wrap + inf_j + inf_k) % 2 == 0:
-                yield _assemble(rank, m, i, j, k, wrap, inf_j, inf_k)
-
-
-def _collect_exit_items(order: list[list[int]], rank: list[list[int]],
-                        out: dict[int, object]) -> None:
-    """Lean variant of the triangle scan: record witness(es) per unmarked
-    triangle into ``out``, keyed by a*n + b, with minimal allocation.
-
-    Per triangle the three arcs directed along their lines give each
-    vertex an in-degree; the scan's gap ordering fixes the arc on the
-    scanned line to head at v_ik, so two booleans (where the other two
-    arcs head) decide between the marked cycle and the three possible
-    exit vertices.
-    """
-    n = len(order)
-    m = n - 1
-    m1 = m - 1
-    get = out.get
-    for i in range(n):
-        row = order[i]
-        base_i = i * n
-        for idx in range(m):
-            j = row[idx]
-            if j < i:
-                continue
-            wrap = idx == m1
-            k = row[0] if wrap else row[idx + 1]
-            if k < i:
-                continue
-            rj = rank[j]
-            rji = rj[i]
-            rjk = rj[k]
-            d = rji - rjk
-            if d == 1 or d == -1:
-                inf_j = False
-            elif (rji == 0 and rjk == m1) or (rjk == 0 and rji == m1):
-                inf_j = True
-            else:
-                continue
-            rk = rank[k]
-            rki = rk[i]
-            rkj = rk[j]
-            d = rki - rkj
-            if d == 1 or d == -1:
-                inf_k = False
-            elif (rki == 0 and rkj == m1) or (rkj == 0 and rki == m1):
-                inf_k = True
-            else:
-                continue
+            inf_j = dj == m1 or dj == -m1
+            inf_k = dk == m1 or dk == -m1
             if (wrap + inf_j + inf_k) & 1:
+                # an odd number of infinity arcs bounds nothing; with four
+                # lines or more this never fires, since every other line
+                # crosses such a curve, so one of its arcs is not empty
                 continue
-            hj = (rji == 0) if inf_j else (rji > rjk)
-            hk = (rki == 0) if inf_k else (rki > rkj)
+            hj = dj == 1 or dj == -m1
+            hk = dk == 1 or dk == -m1
             if hj:
-                if not hk:
-                    continue  # directed cycle: the marked cell
-                key = base_i + j
-                w = k
-            elif hk:
-                key = j * n + k if j < k else k * n + j
-                w = i
+                w = k if hk else -1
             else:
-                key = base_i + k
-                w = j
-            prev = get(key)
-            if prev is None:
-                out[key] = w
-            elif type(prev) is int:
-                out[key] = [prev, w]
-            else:
-                prev.append(w)
+                w = i if hk else j
+            yield i, j, k, wrap, inf_j, inf_k, w
 
 
-def _tables_for(ps: PointSet) -> tuple[list[list[int]], list[list[int]]]:
+def _dual_coefficients(ps: PointSet) -> tuple[list[int], list[int]]:
+    """Slopes and intercepts of the dual lines of the sheared set."""
     sheared, _ = shear_to_generic(ps)
-    a = [c[0] for c in sheared.int_coords]
-    b = [-c[1] for c in sheared.int_coords]
-    return crossing_tables(a, b)
+    return [x for x, _ in sheared.int_coords], [-y for _, y in sheared.int_coords]
+
+
+def _cells(a: list[int], b: list[int]) -> Iterable[_Cell]:
+    """Every triangular cell of the lines y = a[i]*x + b[i], n >= 3."""
+    if len(a) == 3:
+        # three lines cut the projective plane into four triangular cells;
+        # with slopes lo < mid < hi, directing the arcs as _scan_cells does
+        # marks the cell on the infinity arcs of lo and hi, gives the
+        # bounded cell the witness mid, and the cell on the infinity arcs
+        # of mid and x the witness x
+        _exact_row(a, b, 0, [1, 2])  # raises if the three lines are concurrent
+        lo, mid, hi = sorted(range(3), key=a.__getitem__)
+        return [(0, 1, 2, 0 in u, 1 in u, 2 in u, w)
+                for u, w in (({lo, hi}, -1), ((), mid), ({mid, hi}, hi), ({lo, mid}, lo))]
+    return _scan_cells(*crossing_tables(a, b))
 
 
 def dual_triangles(ps: PointSet) -> list[DualTriangle]:
@@ -339,8 +267,18 @@ def dual_triangles(ps: PointSet) -> list[DualTriangle]:
     labeled by primal point indices.  The set is sheared internally."""
     if len(ps) < 3:
         raise TooFewPointsError("dual triangle scan needs at least 3 points")
-    order, rank = _tables_for(ps)
-    tris = list(_scan_triangles(order, rank))
+    tris = []
+    for i, j, k, inf_i, inf_j, inf_k, w in _cells(*_dual_coefficients(ps)):
+        lines = (i, j, k) if j < k else (i, k, j)
+        _, y, z = lines
+        vertices = ((i, y), (i, z), (y, z))
+        unbounded = frozenset(compress((i, j, k), (inf_i, inf_j, inf_k)))
+        if w < 0:
+            tris.append(DualTriangle(lines, vertices, unbounded, True, None, None))
+        else:
+            # the vertex without w; vertices[2 - p] omits lines[p]
+            exit_vertex = vertices[2 - lines.index(w)]
+            tris.append(DualTriangle(lines, vertices, unbounded, False, exit_vertex, w))
     tris.sort(key=lambda t: (t.lines, sorted(t.unbounded_lines)))
     return tris
 
@@ -361,22 +299,26 @@ def hourglasses(tris: Sequence[DualTriangle]) -> list[Hourglass]:
     return out
 
 
-def _edges_from_int_keys(collected: dict[int, object], n: int) -> tuple[ExitEdge, ...]:
+def _exit_edge_tuple(keys: Iterable[int], witnesses: Iterable[int | list[int]],
+                     n: int) -> tuple[ExitEdge, ...]:
+    """The exit edges of grouped witnesses: exit vertex keys[t] = a*n + b,
+    ascending, has the witness witnesses[t], or the list witnesses[t] if
+    it has several."""
     edges = []
-    for key in sorted(collected):
-        ws = collected[key]
-        pair = divmod(key, n)
+    append = edges.append
+    for key, ws in zip(keys, witnesses):
         if type(ws) is int:
-            edges.append(ExitEdge(pair, frozenset((ws,))))
+            append(ExitEdge(divmod(key, n), frozenset((ws,))))
+        elif len(ws) == 2:
+            append(ExitEdge(divmod(key, n), frozenset(ws)))
         else:
-            if len(ws) > 2:
-                raise TripleSharedExitVertexError(
-                    f"{len(ws)} witnesses for exit vertex {pair}")
-            edges.append(ExitEdge(pair, frozenset(ws)))
+            raise TripleSharedExitVertexError(
+                f"{len(ws)} witnesses for exit vertex {divmod(key, n)}")
     return tuple(edges)
 
 
-# below this size the vectorized path is not worth its setup cost
+# below this size the vectorized path is not worth its setup cost (and
+# loading numpy alone adds about 12 MiB to the process)
 _VECTOR_THRESHOLD = 64
 
 
@@ -386,18 +328,12 @@ def _exit_edges_vectorized(a: list[int], b: list[int], n: int) -> tuple[ExitEdge
     order, rank = fastscan.crossing_tables_np(a, b)
     keys, wits = fastscan.scan_exit_items_np(order, rank)
     uniq, starts, counts, ws = fastscan.group_exit_items_np(keys, wits)
-    if counts.size and int(counts.max()) > 2:
-        raise TripleSharedExitVertexError("an exit vertex gathered 3+ witnesses")
-    ws_l = ws.tolist()
-    edges = []
-    append = edges.append
-    for u, s, c in zip(uniq.tolist(), starts.tolist(), counts.tolist()):
-        pair = divmod(u, n)
-        if c == 1:
-            append(ExitEdge(pair, frozenset((ws_l[s],))))
-        else:
-            append(ExitEdge(pair, frozenset((ws_l[s], ws_l[s + 1]))))
-    return tuple(edges)
+    witnesses = ws[starts].tolist()
+    several = (counts > 1).nonzero()[0]
+    ws = ws.tolist()
+    for t, s, c in zip(several.tolist(), starts[several].tolist(), counts[several].tolist()):
+        witnesses[t] = ws[s:s + c]
+    return _exit_edge_tuple(uniq.tolist(), witnesses, n)
 
 
 def exit_edges_dual(ps: PointSet) -> tuple[ExitEdge, ...]:
@@ -406,30 +342,22 @@ def exit_edges_dual(ps: PointSet) -> tuple[ExitEdge, ...]:
     n = len(ps)
     if n < 3:
         raise TooFewPointsError("exit edges need at least 3 points")
+    a, b = _dual_coefficients(ps)
     if n >= _VECTOR_THRESHOLD:
-        sheared, _ = shear_to_generic(ps)
-        a = [c[0] for c in sheared.int_coords]
-        b = [-c[1] for c in sheared.int_coords]
         from . import fastscan  # here, so that small inputs never load numpy
 
         if fastscan.coords_are_safe(a, b):
             return _exit_edges_vectorized(a, b, n)
-        order, rank = crossing_tables(a, b)
-        collected: dict[int, object] = {}
-        _collect_exit_items(order, rank, collected)
-        return _edges_from_int_keys(collected, n)
-    order, rank = _tables_for(ps)
-    collected: dict[int, object] = {}
-    if n == 3:
-        for t in _scan_triangles(order, rank):
-            if not t.marked:
-                a, b = t.exit_vertex
-                key = a * n + b
-                prev = collected.get(key)
-                if prev is None:
-                    collected[key] = t.witness_line
-                elif type(prev) is int:
-                    collected[key] = [prev, t.witness_line]
-    else:
-        _collect_exit_items(order, rank, collected)
-    return _edges_from_int_keys(collected, n)
+    groups: dict[int, int | list[int]] = {}
+    for i, j, k, _, _, _, w in _cells(a, b):
+        if w >= 0:
+            key = (j * n + k if j < k else k * n + j) if w == i else i * n + j + k - w
+            ws = groups.get(key)
+            if ws is None:
+                groups[key] = w
+            elif type(ws) is int:
+                groups[key] = [ws, w]
+            else:
+                ws.append(w)
+    keys = sorted(groups)
+    return _exit_edge_tuple(keys, map(groups.__getitem__, keys), n)

@@ -1,21 +1,20 @@
 """Vectorized crossing tables and triangle scan for large inputs.
 
-Mirrors the pure-Python pipeline in dual.py using numpy int64 arrays.
-All decisions stay exact: float keys only pre-sort the crossings, and
-every adjacent pair is then certified by an integer sign test; the int64
-products cannot overflow because callers guard the coordinate magnitude
-with MAX_SAFE_COORD.  Rows that fail certification are re-sorted with
-exact arbitrary-precision comparisons.
+The numpy counterparts of dual.crossing_tables and of the cell scan
+dual._scan_cells, on int64 arrays.  All decisions stay exact: float keys
+only pre-sort the crossings, and every adjacent pair is then certified by
+an integer sign test; the int64 products cannot overflow because callers
+guard the coordinate magnitude with MAX_SAFE_COORD.  Rows that fail
+certification are re-sorted with the exact comparator of dual._exact_row.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Sequence
 
 import numpy as np
 
-from .dual import ConcurrentLinesError
+from .dual import _exact_row
 
 # |a|, |b| <= 2^29 keeps every certification product within int64:
 # |n*d| <= (2^30)^2 = 2^60 and |s| <= 2^61
@@ -25,26 +24,6 @@ MAX_SAFE_COORD = 1 << 29
 def coords_are_safe(a: Sequence[int], b: Sequence[int]) -> bool:
     return (max(map(abs, a), default=0) <= MAX_SAFE_COORD
             and max(map(abs, b), default=0) <= MAX_SAFE_COORD)
-
-
-def _exact_resort(a: Sequence[int], b: Sequence[int], i: int, row: list[int]) -> list[int]:
-    ai, bi = a[i], b[i]
-
-    def cmp(j: int, k: int) -> int:
-        d1 = ai - a[j]
-        d2 = ai - a[k]
-        s = (b[j] - bi) * d2 - (b[k] - bi) * d1
-        if d1 < 0:
-            s = -s
-        if d2 < 0:
-            s = -s
-        return (s > 0) - (s < 0)
-
-    row = sorted(row, key=cmp_to_key(cmp))
-    for t in range(len(row) - 1):
-        if cmp(row[t], row[t + 1]) == 0:
-            raise ConcurrentLinesError(i, *sorted((row[t], row[t + 1])))
-    return row
 
 
 def crossing_tables_np(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -68,8 +47,7 @@ def crossing_tables_np(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, 
     bad_rows = np.nonzero((S >= 0).any(axis=1))[0]
     del DD, NN, S
     for i in bad_rows.tolist():
-        fixed = _exact_resort(a, b, i, order[i].tolist())
-        order[i] = fixed
+        order[i] = _exact_row(a, b, i, order[i].tolist())
 
     rank = np.full((n, n), -1, dtype=np.int32)
     np.put_along_axis(rank, order, np.arange(n - 1, dtype=np.int32)[None, :], axis=1)
@@ -77,11 +55,11 @@ def crossing_tables_np(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, 
 
 
 def scan_exit_items_np(order: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized unmarked-triangle scan.
+    """Vectorized unmarked-cell scan.
 
     Returns (keys, witnesses): one entry per unmarked triangular cell,
     where key = a*n + b encodes the exit vertex pair and witnesses holds
-    the witness line.  Same case analysis as dual._collect_exit_items.
+    the witness line.  Same case analysis as dual._scan_cells.
     """
     n, m = order.shape
     m1 = m - 1

@@ -1,8 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from exitgraph import certify_general_position, random_general_position
+from exitgraph import (
+    CollinearTripleError,
+    DuplicatePointError,
+    certify_general_position,
+    random_general_position,
+)
 
 
 @pytest.fixture
@@ -33,3 +39,33 @@ def random_sets(count, n_lo, n_hi, seed):
     for _ in range(count):
         n = rng.randint(n_lo, n_hi)
         yield random_general_position(n, rng)
+
+
+KINDS = ("int", "rational", "big")
+_BIG = 1 << 66
+
+
+def _coordinate(kind, rng, n):
+    # the small integer grid makes shared x and y common: horizontal and
+    # vertical edges, and rays through vertices
+    if kind == "int":
+        return rng.randint(0, 3 * n)
+    if kind == "rational":
+        return Fraction(rng.randint(-4 * n * n, 4 * n * n), rng.randint(1, 9))
+    return _BIG + rng.randint(0, 4 * n * n) * (1 << 30)
+
+
+def mixed_sets(count, n_lo, n_hi, seed, kinds=KINDS):
+    """Certified sets with small integer, p/q and above-2^64 coordinates,
+    the kinds in turn."""
+    rng = random.Random(seed)
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        n = rng.randint(n_lo, n_hi)
+        while True:
+            pts = [(_coordinate(kind, rng, n), _coordinate(kind, rng, n)) for _ in range(n)]
+            try:
+                yield kind, certify_general_position(pts)
+                break
+            except (CollinearTripleError, DuplicatePointError):
+                continue

@@ -9,8 +9,6 @@ import pytest
 
 import exitgraph
 from exitgraph import (
-    CollinearTripleError,
-    DuplicatePointError,
     SizeMismatchError,
     TooFewPointsError,
     certify_general_position,
@@ -28,7 +26,7 @@ from exitgraph import (
     shear_to_generic,
     stats_report,
 )
-from conftest import random_sets
+from conftest import KINDS, mixed_sets, random_sets
 from exitgraph.analysis import _Subdivision
 
 
@@ -113,39 +111,9 @@ def _crossings_reference(ps):
     return count
 
 
-_KINDS = ("int", "rational", "big")
-_BIG = 1 << 66
-
-
-def _coordinate(kind, rng, n):
-    # the small integer grid makes shared x and y common: horizontal and
-    # vertical edges, and rays through vertices
-    if kind == "int":
-        return rng.randint(0, 3 * n)
-    if kind == "rational":
-        return Fraction(rng.randint(-4 * n * n, 4 * n * n), rng.randint(1, 9))
-    return _BIG + rng.randint(0, 4 * n * n) * (1 << 30)
-
-
-def _mixed_sets(count, n_lo, n_hi, seed, kinds=_KINDS):
-    """Certified sets with small integer, p/q and above-2^64 coordinates,
-    the kinds in turn."""
-    rng = random.Random(seed)
-    for k in range(count):
-        kind = kinds[k % len(kinds)]
-        n = rng.randint(n_lo, n_hi)
-        while True:
-            pts = [(_coordinate(kind, rng, n), _coordinate(kind, rng, n)) for _ in range(n)]
-            try:
-                yield kind, certify_general_position(pts)
-                break
-            except (CollinearTripleError, DuplicatePointError):
-                continue
-
-
 def test_crossings_match_reference_loop():
-    kinds = dict.fromkeys(_KINDS, 0)
-    for kind, ps in _mixed_sets(240, 4, 14, seed=1616):
+    kinds = dict.fromkeys(KINDS, 0)
+    for kind, ps in mixed_sets(240, 4, 14, seed=1616):
         assert exit_graph_crossings(ps) == _crossings_reference(ps)
         kinds[kind] += 1
     assert all(v == 80 for v in kinds.values())
@@ -180,7 +148,7 @@ def test_outer_face_within_hull():
 
 def test_outer_face_is_hull_at_benchmark_sizes():
     # n = 30..40 has thousands of crossings, the regime of the benchmark
-    for kind, ps in _mixed_sets(8, 30, 40, seed=1717, kinds=("rational", "big")):
+    for kind, ps in mixed_sets(8, 30, 40, seed=1717, kinds=("rational", "big")):
         assert exit_graph_crossings(ps) > 1000, kind
         assert outer_face_vertices(ps) == set(convex_hull(ps)), kind
 
@@ -188,7 +156,7 @@ def test_outer_face_is_hull_at_benchmark_sizes():
 def test_outer_face_with_labels_off_the_exit_graph():
     # a label on no exit edge is placed by its ray alone
     sets_with_one = sets_with_horizontal = 0
-    for _, ps in _mixed_sets(300, 3, 14, seed=1818):
+    for _, ps in mixed_sets(300, 3, 14, seed=1818):
         edges = [e.endpoints for e in exit_edges_dual(ps)]
         sets_with_one += len({v for e in edges for v in e}) < len(ps)
         sets_with_horizontal += any(ps[a].y == ps[b].y for a, b in edges)
@@ -275,7 +243,7 @@ def _assert_chains_advance(ps, edges):
 
 
 def test_subdivision_chains_run_along_their_edges():
-    for _, ps in _mixed_sets(4, 30, 40, seed=1919, kinds=("rational", "big")):
+    for _, ps in mixed_sets(4, 30, 40, seed=1919, kinds=("rational", "big")):
         edges = [e.endpoints for e in exit_edges_dual(ps)]
         assert _assert_chains_advance(ps, edges) == exit_graph_crossings(ps)
     for pts, edges, _ in _DRAWINGS.values():

@@ -4,7 +4,9 @@ import pytest
 
 from exitgraph import (
     ConcurrentLinesError,
+    ExitEdge,
     NonDistinctSlopesError,
+    TripleSharedExitVertexError,
     dual_triangles,
     dualize,
     exit_edges_bruteforce,
@@ -13,13 +15,9 @@ from exitgraph import (
     shear_to_generic,
     trusted_point_set,
 )
-from exitgraph.dual import (
-    _collect_exit_items,
-    _edges_from_int_keys,
-    _exit_edges_vectorized,
-    crossing_tables,
-)
-from conftest import random_sets
+from exitgraph import dual, fastscan
+from exitgraph.dual import DualTriangle, _exit_edges_vectorized, crossing_tables
+from conftest import KINDS, mixed_sets, random_sets
 
 
 def test_dualize_formula():
@@ -105,22 +103,160 @@ def test_exit_vertex_maps_back_to_edge_lines():
             assert t.exit_vertex in t.vertices
 
 
-def test_vectorized_path_matches_python_path():
+def _dual_coefficients(ps):
+    sheared, _ = shear_to_generic(ps)
+    return [c[0] for c in sheared.int_coords], [-c[1] for c in sheared.int_coords]
+
+
+def test_vectorized_path_matches_python_path(monkeypatch):
+    monkeypatch.setattr(dual, "_VECTOR_THRESHOLD", 10 ** 9)  # exit_edges_dual scans in Python
     for seed, n in ((1, 70), (2, 90)):
         ps = next(iter(random_sets(1, n, n, seed=seed)))
-        sheared, _ = shear_to_generic(ps)
-        a = [c[0] for c in sheared.int_coords]
-        b = [-c[1] for c in sheared.int_coords]
-        order, rank = crossing_tables(a, b)
-        collected = {}
-        _collect_exit_items(order, rank, collected)
-        assert _edges_from_int_keys(collected, n) == _exit_edges_vectorized(a, b, n)
+        a, b = _dual_coefficients(ps)
+        assert exit_edges_dual(ps) == _exit_edges_vectorized(a, b, n)
+
+
+def test_vectorized_path_matches_bruteforce_on_small_sets():
+    # the numpy scan serves n >= 64 only, where the O(n^4) oracle is too
+    # slow; its case analysis does not depend on n from 4 lines on
+    sizes = set()
+    for ps in random_sets(1000, 4, 12, seed=2525):
+        a, b = _dual_coefficients(ps)
+        assert _exit_edges_vectorized(a, b, len(ps)) == exit_edges_bruteforce(ps)
+        sizes.add(len(ps))
+    assert sizes == set(range(4, 13))
+
+
+def test_exit_edge_builder_refuses_three_witnesses():
+    # both backends build their edges here; in general position no exit
+    # vertex gathers three witnesses
+    assert dual._exit_edge_tuple([1, 6], [[2, 3], 0], 4) == (
+        ExitEdge((0, 1), frozenset({2, 3})), ExitEdge((1, 2), frozenset({0})))
+    with pytest.raises(TripleSharedExitVertexError):
+        dual._exit_edge_tuple([1], [[2, 3, 4]], 5)
+
+
+def _directed_arcs(rank, m, i, j, k, inf_i, inf_j, inf_k):
+    """The three boundary arcs directed along their lines.
+
+    Bounded arcs run left to right; the infinity arc runs from the
+    rightmost crossing through infinity to the leftmost one.
+    """
+    def arc(x, u, v, through_inf):
+        if through_inf:
+            return (x, u, v) if rank[x][u] == m - 1 else (x, v, u)
+        return (x, u, v) if rank[x][u] < rank[x][v] else (x, v, u)
+
+    return arc(i, j, k, inf_i), arc(j, i, k, inf_j), arc(k, i, j, inf_k)
+
+
+def _assemble(rank, m, i, j, k, inf_i, inf_j, inf_k):
+    arcs = _directed_arcs(rank, m, i, j, k, inf_i, inf_j, inf_k)
+    indeg = {}
+    for x, t, h in arcs:
+        tail = (x, t) if x < t else (t, x)
+        head = (x, h) if x < h else (h, x)
+        indeg.setdefault(tail, 0)
+        indeg[head] = indeg.get(head, 0) + 1
+    lines = tuple(sorted((i, j, k)))
+    verts = tuple(sorted(indeg))
+    unbounded = frozenset(
+        x for x, flag in ((i, inf_i), (j, inf_j), (k, inf_k)) if flag)
+    if sorted(indeg.values()) == [1, 1, 1]:
+        return DualTriangle(lines, verts, unbounded, True, None, None)
+    exit_pair = next(v for v, d in indeg.items() if d == 1)
+    witness = next(l for l in lines if l not in exit_pair)
+    return DualTriangle(lines, verts, unbounded, False, exit_pair, witness)
+
+
+def _scan_triangles(order, rank):
+    """Yield every triangular cell exactly once (from its smallest line)."""
+    n = len(order)
+    m = n - 1
+    if m == 2:
+        # two crossings per line: both arcs between them are empty, so
+        # enumerate arc-type combinations explicitly
+        i, row = 0, order[0]
+        for idx in range(m):
+            j = row[idx]
+            wrap = idx == m - 1
+            k = row[0] if wrap else row[idx + 1]
+            for inf_j in (False, True):
+                for inf_k in (False, True):
+                    if (wrap + inf_j + inf_k) % 2 == 0:
+                        yield _assemble(rank, m, i, j, k, wrap, inf_j, inf_k)
+        return
+    m1 = m - 1
+    for i in range(n):
+        row = order[i]
+        for idx in range(m):
+            j = row[idx]
+            if j < i:
+                continue
+            wrap = idx == m1
+            k = row[0] if wrap else row[idx + 1]
+            if k < i:
+                continue
+            rji, rjk = rank[j][i], rank[j][k]
+            if abs(rji - rjk) == 1:
+                inf_j = False
+            elif (rji == 0 and rjk == m1) or (rjk == 0 and rji == m1):
+                inf_j = True
+            else:
+                continue
+            rki, rkj = rank[k][i], rank[k][j]
+            if abs(rki - rkj) == 1:
+                inf_k = False
+            elif (rki == 0 and rkj == m1) or (rkj == 0 and rki == m1):
+                inf_k = True
+            else:
+                continue
+            if (wrap + inf_j + inf_k) % 2 == 0:
+                yield _assemble(rank, m, i, j, k, wrap, inf_j, inf_k)
+
+
+def _dual_triangles_reference(ps):
+    """The triangle scan dual_triangles once ran: each cell's three arcs
+    directed along their lines, and the cell built from the in-degrees
+    of its vertices."""
+    tris = list(_scan_triangles(*crossing_tables(*_dual_coefficients(ps))))
+    tris.sort(key=lambda t: (t.lines, sorted(t.unbounded_lines)))
+    return tris
+
+
+def test_dual_triangles_match_reference(triangle, unit_square, six_points):
+    for ps in (triangle, unit_square, six_points):
+        assert dual_triangles(ps) == _dual_triangles_reference(ps)
+    kinds = dict.fromkeys(KINDS, 0)
+    sizes = set()
+    for kind, ps in mixed_sets(300, 3, 14, seed=2626):
+        assert dual_triangles(ps) == _dual_triangles_reference(ps)
+        kinds[kind] += 1
+        sizes.add(len(ps))
+    assert all(v == 100 for v in kinds.values())
+    assert sizes == set(range(3, 15))
+
+
+def test_three_points_take_the_closed_form(monkeypatch):
+    def no_numpy_scan(*args):
+        raise AssertionError("the numpy scan ran on three points")
+
+    monkeypatch.setattr(fastscan, "scan_exit_items_np", no_numpy_scan)
+    count = 0
+    for _, ps in mixed_sets(240, 3, 3, seed=2727):
+        assert exit_edges_dual(ps) == exit_edges_bruteforce(ps)
+        assert dual_triangles(ps) == _dual_triangles_reference(ps)
+        count += 1
+    assert count == 240
 
 
 def test_dual_path_flags_collinear_input():
-    bad = trusted_point_set([(0, 0), (1, 1), (2, 2), (7, 0)])
-    with pytest.raises(ConcurrentLinesError):
-        exit_edges_dual(bad)
+    for pts in ([(0, 0), (1, 1), (2, 2), (7, 0)], [(0, 0), (1, 1), (2, 2)]):
+        bad = trusted_point_set(pts)
+        with pytest.raises(ConcurrentLinesError):
+            exit_edges_dual(bad)
+        with pytest.raises(ConcurrentLinesError):
+            dual_triangles(bad)
 
 
 def test_vectorized_path_detects_concurrency():
