@@ -42,6 +42,7 @@ from .dual import (
     ConcurrentLinesError,
     DualLine,
     DualTriangle,
+    ExitGraph,
     Hourglass,
     NonDistinctSlopesError,
     TripleSharedExitVertexError,

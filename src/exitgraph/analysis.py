@@ -136,7 +136,7 @@ def _partners(side, edges, s: int, start: int = 0) -> list[int]:
 def exit_graph_crossings(ps: PointSet) -> int:
     """Number of unordered exit-edge pairs that properly cross: O(E·n)
     integer turns plus O(E^2) sign lookups, exact for any coordinates."""
-    edges = [e.endpoints for e in exit_edges_dual(ps)]
+    edges = exit_edges_dual(ps).pairs()
     side = _side_table(ps.int_coords, edges)
     return sum(len(_partners(side, edges, s, s + 1)) for s in range(len(edges)))
 
@@ -289,7 +289,7 @@ def outer_face_vertices(ps: PointSet) -> set[int]:
     lookups for each edge that a ray or the walk around the unbounded
     face reaches; exact for any coordinates.
     """
-    return _Subdivision(ps, [e.endpoints for e in exit_edges_dual(ps)]).outer_labels()
+    return _Subdivision(ps, exit_edges_dual(ps).pairs()).outer_labels()
 
 
 # -- order types ------------------------------------------------------

@@ -19,12 +19,16 @@ from .analysis import (
 from .dual import exit_edges_dual
 from .geometry import GeometryError, PointSet
 from .morph import first_collinearity_morph
-from .oracle import exit_edges_bruteforce, exit_edges_via_holes
+from .oracle import exit_edges_bruteforce, exit_edges_via_holes, is_exit_edge_with_witness
 from .pointfile import parse_point_list, parse_points, serialize_points
 from .report import build_report, render_json
 from .svg import render_svg
 
 OK, INPUT_ERROR, PROPERTY_VIOLATION = 0, 1, 2
+
+# check runs both O(n^4) oracles: at 80 points the 4-hole oracle alone
+# takes tens of seconds
+CHECK_MAX_POINTS = 80
 
 
 def _load(path: str) -> PointSet:
@@ -49,6 +53,11 @@ def _cmd_compute(args) -> int:
 
 def _cmd_check(args) -> int:
     ps = _load(args.file)
+    if len(ps) > CHECK_MAX_POINTS:
+        print(f"error: check runs two O(n^4) oracles and takes at most {CHECK_MAX_POINTS} "
+              f"points, not {len(ps)}; use 'exitgraph compute' for larger sets",
+              file=sys.stderr)
+        return INPUT_ERROR
     dual = exit_edges_dual(ps)
     brute = exit_edges_bruteforce(ps)
     hole_pairs = exit_edges_via_holes(ps)
@@ -97,8 +106,7 @@ def _cmd_morph(args) -> int:
     print(f"triple ({a}, {b}, {c}); {c} strictly inside segment "
           f"{a}-{b}: {'yes' if event.between else 'no'}")
     if event.between:
-        edges = {e.endpoints: e.witnesses for e in exit_edges_bruteforce(ps0)}
-        holds = (a, b) in edges and c in edges[(a, b)]
+        holds = is_exit_edge_with_witness(ps0, a, b, c)
         print(f"edge {{{a},{b}}} is an exit edge of the start set with "
               f"witness {c}: {'yes' if holds else 'NO'}")
         if not holds:

@@ -24,6 +24,8 @@ a closed form instead, before any scan.
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -299,55 +301,89 @@ def hourglasses(tris: Sequence[DualTriangle]) -> list[Hourglass]:
     return out
 
 
-def _exit_edge_tuple(keys: Iterable[int], witnesses: Iterable[int | list[int]],
-                     n: int) -> tuple[ExitEdge, ...]:
-    """The exit edges of grouped witnesses: exit vertex keys[t] = a*n + b,
-    ascending, has the witness witnesses[t], or the list witnesses[t] if
-    it has several."""
-    edges = []
-    append = edges.append
-    for key, ws in zip(keys, witnesses):
+class ExitGraph(Sequence[ExitEdge]):
+    """The exit edges of a point set, held as four integer columns.
+
+    Edge t has the endpoints a[t] < b[t] and the witnesses w0[t] < w1[t],
+    or the one witness w0[t] with w1[t] = -1; the edges are sorted by
+    (a, b).  The columns are numpy arrays when the numpy scan ran and
+    ``array.array`` otherwise.  As a sequence it yields ``ExitEdge``s,
+    each built when it is asked for, and it compares equal to another
+    ExitGraph or to a tuple of ExitEdges with the same edges in the same
+    order.  Slices are tuples of ExitEdges.
+    """
+
+    __slots__ = ("a", "b", "w0", "w1")
+
+    def __init__(self, a, b, w0, w1):
+        self.a, self.b, self.w0, self.w1 = a, b, w0, w1
+
+    def columns(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The four columns as lists of Python ints."""
+        return self.a.tolist(), self.b.tolist(), self.w0.tolist(), self.w1.tolist()
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """The endpoint pairs (a, b), in order."""
+        return list(zip(self.a.tolist(), self.b.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, index: int | slice) -> ExitEdge | tuple[ExitEdge, ...]:
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        t = operator.index(index)
+        return _edge(int(self.a[t]), int(self.b[t]), int(self.w0[t]), int(self.w1[t]))
+
+    def __iter__(self) -> Iterator[ExitEdge]:
+        return map(_edge, *self.columns())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ExitGraph):
+            return self.columns() == other.columns()
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ExitGraph({list(self)!r})"
+
+
+def _edge(a: int, b: int, w0: int, w1: int) -> ExitEdge:
+    return ExitEdge((a, b), frozenset((w0,) if w1 < 0 else (w0, w1)))
+
+
+def _triple_witness_error(count: int, key: int, n: int) -> TripleSharedExitVertexError:
+    return TripleSharedExitVertexError(f"{count} witnesses for exit vertex {divmod(key, n)}")
+
+
+def _exit_graph_from_groups(groups: dict[int, int | list[int]], n: int) -> ExitGraph:
+    """The exit graph of the pure-Python scan's groups: exit vertex
+    key = a*n + b has the witness groups[key], or the list groups[key]
+    if it has several."""
+    cols = array("q"), array("q"), array("q"), array("q")
+    put_a, put_b, put_w0, put_w1 = (c.append for c in cols)
+    for key in sorted(groups):
+        ws = groups[key]
         if type(ws) is int:
-            append(ExitEdge(divmod(key, n), frozenset((ws,))))
+            w0, w1 = ws, -1
         elif len(ws) == 2:
-            append(ExitEdge(divmod(key, n), frozenset(ws)))
+            w0, w1 = sorted(ws)
         else:
-            raise TripleSharedExitVertexError(
-                f"{len(ws)} witnesses for exit vertex {divmod(key, n)}")
-    return tuple(edges)
+            raise _triple_witness_error(len(ws), key, n)
+        a, b = divmod(key, n)
+        put_a(a)
+        put_b(b)
+        put_w0(w0)
+        put_w1(w1)
+    return ExitGraph(*cols)
 
 
-# below this size the vectorized path is not worth its setup cost (and
-# loading numpy alone adds about 12 MiB to the process)
-_VECTOR_THRESHOLD = 64
-
-
-def _exit_edges_vectorized(a: list[int], b: list[int], n: int) -> tuple[ExitEdge, ...]:
-    from . import fastscan
-
-    order, rank = fastscan.crossing_tables_np(a, b)
-    keys, wits = fastscan.scan_exit_items_np(order, rank)
-    uniq, starts, counts, ws = fastscan.group_exit_items_np(keys, wits)
-    witnesses = ws[starts].tolist()
-    several = (counts > 1).nonzero()[0]
-    ws = ws.tolist()
-    for t, s, c in zip(several.tolist(), starts[several].tolist(), counts[several].tolist()):
-        witnesses[t] = ws[s:s + c]
-    return _exit_edge_tuple(uniq.tolist(), witnesses, n)
-
-
-def exit_edges_dual(ps: PointSet) -> tuple[ExitEdge, ...]:
-    """Exit edges via the dual arrangement: one unmarked triangle per
-    (edge, witness) pair; hourglasses merge into two-witness edges."""
-    n = len(ps)
-    if n < 3:
-        raise TooFewPointsError("exit edges need at least 3 points")
-    a, b = _dual_coefficients(ps)
-    if n >= _VECTOR_THRESHOLD:
-        from . import fastscan  # here, so that small inputs never load numpy
-
-        if fastscan.coords_are_safe(a, b):
-            return _exit_edges_vectorized(a, b, n)
+def _group_cells(a: list[int], b: list[int]) -> dict[int, int | list[int]]:
+    """The witnesses of each exit vertex key = a*n + b (a < b) over the
+    unmarked cells of the pure-Python scan: an int for one witness, a
+    list for several."""
+    n = len(a)
     groups: dict[int, int | list[int]] = {}
     for i, j, k, _, _, _, w in _cells(a, b):
         if w >= 0:
@@ -359,5 +395,41 @@ def exit_edges_dual(ps: PointSet) -> tuple[ExitEdge, ...]:
                 groups[key] = [ws, w]
             else:
                 ws.append(w)
-    keys = sorted(groups)
-    return _exit_edge_tuple(keys, map(groups.__getitem__, keys), n)
+    return groups
+
+
+# below this size the vectorized path is not worth its setup cost (and
+# loading numpy alone adds about 12 MiB to the process)
+_VECTOR_THRESHOLD = 64
+
+
+def _exit_edges_vectorized(a: list[int], b: list[int], n: int) -> ExitGraph:
+    from . import fastscan
+
+    order, rank = fastscan.crossing_tables_np(a, b)
+    keys, wits = fastscan.scan_exit_items_np(order, rank)
+    return fastscan.exit_graph_np(*fastscan.group_exit_items_np(keys, wits), n)
+
+
+def exit_edges_dual(ps: PointSet) -> ExitGraph:
+    """Exit edges via the dual arrangement: one unmarked triangle per
+    (edge, witness) pair; hourglasses merge into two-witness edges.
+
+    Returns an ExitGraph whose columns come straight from the scan: numpy
+    arrays from 64 points on (while the sheared coordinates stay within
+    ``fastscan.MAX_SAFE_COORD``), ``array.array`` from the pure-Python
+    scan otherwise, so smaller calls never load numpy.  No ExitEdge is
+    built until one is asked for.  Raises TripleSharedExitVertexError if
+    an exit vertex gathers three witnesses, which general position rules
+    out.
+    """
+    n = len(ps)
+    if n < 3:
+        raise TooFewPointsError("exit edges need at least 3 points")
+    a, b = _dual_coefficients(ps)
+    if n >= _VECTOR_THRESHOLD:
+        from . import fastscan  # here, so that small inputs never load numpy
+
+        if fastscan.coords_are_safe(a, b):
+            return _exit_edges_vectorized(a, b, n)
+    return _exit_graph_from_groups(_group_cells(a, b), n)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import _exact_row
+from .dual import ExitGraph, _exact_row, _triple_witness_error
 
 # |a|, |b| <= 2^29 keeps every certification product within int64:
 # |n*d| <= (2^30)^2 = 2^60 and |s| <= 2^61
@@ -26,27 +26,42 @@ def coords_are_safe(a: Sequence[int], b: Sequence[int]) -> bool:
             and max(map(abs, b), default=0) <= MAX_SAFE_COORD)
 
 
+# slots (row entries) per block of the tables and of the scan: small
+# enough that a block's temporaries stay in cache, large enough that
+# numpy's per-call cost is spread over many slots
+_BLOCK_SLOTS = 1 << 16
+
+
 def crossing_tables_np(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """order (n, n-1) and rank (n, n) matrices of the crossing sequences."""
+    """order (n, n-1) and rank (n, n) matrices of the crossing sequences,
+    built over blocks of rows."""
     n = len(a)
     A = np.asarray(a, dtype=np.int64)
     B = np.asarray(b, dtype=np.int64)
     AF = A.astype(np.float64)
     BF = B.astype(np.float64)
-    D = AF[:, None] - AF[None, :]
-    np.fill_diagonal(D, 1.0)
-    K = (BF[None, :] - BF[:, None]) / D
-    np.fill_diagonal(K, np.inf)  # self sorts last, then gets dropped
-    order = np.argsort(K, axis=1, kind="stable")[:, : n - 1].astype(np.int32)
-    del K, D
+    order = np.empty((n, n - 1), dtype=np.int32)
+    step = max(1, _BLOCK_SLOTS // n)
+    bad_rows = []
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        rows = np.arange(hi - lo)
+        D = AF[lo:hi, None] - AF[None, :]
+        D[rows, rows + lo] = 1.0
+        K = (BF[None, :] - BF[lo:hi, None]) / D
+        K[rows, rows + lo] = np.inf  # self, the only inf, sorts last and gets dropped
+        # numpy's default sort, about 4x faster than kind="stable" here;
+        # the order of equal float keys does not matter, since every
+        # adjacent pair is certified exactly below
+        block = np.argsort(K, axis=1)[:, : n - 1]
+        order[lo:hi] = block
 
-    DD = A[:, None] - A[order]
-    NN = B[order] - B[:, None]
-    S = NN[:, :-1] * DD[:, 1:] - NN[:, 1:] * DD[:, :-1]
-    S *= np.sign(DD[:, :-1]) * np.sign(DD[:, 1:])
-    bad_rows = np.nonzero((S >= 0).any(axis=1))[0]
-    del DD, NN, S
-    for i in bad_rows.tolist():
+        DD = A[lo:hi, None] - A[block]
+        NN = B[block] - B[lo:hi, None]
+        S = NN[:, :-1] * DD[:, 1:] - NN[:, 1:] * DD[:, :-1]
+        S *= np.sign(DD[:, :-1]) * np.sign(DD[:, 1:])
+        bad_rows += (np.nonzero((S >= 0).any(axis=1))[0] + lo).tolist()
+    for i in bad_rows:
         order[i] = _exact_row(a, b, i, order[i].tolist())
 
     rank = np.full((n, n), -1, dtype=np.int32)
@@ -59,53 +74,54 @@ def scan_exit_items_np(order: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray,
 
     Returns (keys, witnesses): one entry per unmarked triangular cell,
     where key = a*n + b encodes the exit vertex pair and witnesses holds
-    the witness line.  Same case analysis as dual._scan_cells.
+    the witness line.  Same case analysis as dual._scan_cells, on the
+    rank differences d, run over blocks of rows of ``order``.
     """
     n, m = order.shape
+    flat = rank.ravel()
+    rank_t = np.ascontiguousarray(rank.T)  # rank_t[i, j] = rank[j, i]
+    step = max(1, _BLOCK_SLOTS // m)
+    keys: list[np.ndarray] = []
+    wits: list[np.ndarray] = []
+    for lo in range(0, n, step):
+        _scan_block(order, flat, rank_t, lo, min(n, lo + step), keys, wits)
+    return np.concatenate(keys), np.concatenate(wits)
+
+
+def _scan_block(order: np.ndarray, flat: np.ndarray, rank_t: np.ndarray, lo: int, hi: int,
+                keys: list[np.ndarray], wits: list[np.ndarray]) -> None:
+    """Append the unmarked cells found from lines lo..hi-1 as line i;
+    flat is rank raveled and rank_t its transpose."""
+    n, m = order.shape
     m1 = m - 1
-    I = np.arange(n, dtype=np.int32)[:, None]
-    O = order
-    NXT = np.roll(order, -1, axis=1)
-
-    R_JI = rank[O, I]
-    R_JK = rank[O, NXT]
-    dJ = R_JI - R_JK
-    wrapJ = ((R_JI == 0) & (R_JK == m1)) | ((R_JK == 0) & (R_JI == m1))
-    validJ = (dJ == 1) | (dJ == -1) | wrapJ
-    del dJ
-
-    R_KI = rank[NXT, I]
-    R_KJ = rank[NXT, O]
-    dK = R_KI - R_KJ
-    wrapK = ((R_KI == 0) & (R_KJ == m1)) | ((R_KJ == 0) & (R_KI == m1))
-    validK = (dK == 1) | (dK == -1) | wrapK
-    del dK
-
-    WRAP = np.zeros((1, m), dtype=bool)
-    WRAP[0, m1] = True
-    keep = validJ & validK & (O > I) & (NXT > I) & ~(WRAP ^ wrapJ ^ wrapK)
-    del validJ, validK
-
-    hJ = np.where(wrapJ, R_JI == 0, R_JI > R_JK)
-    hK = np.where(wrapK, R_KI == 0, R_KI > R_KJ)
-    del wrapJ, wrapK, R_JI, R_JK, R_KI, R_KJ
-
+    O = order[lo:hi]  # j, each crossing of line i
+    NXT = np.roll(O, -1, axis=1)  # k, the next one; the last column wraps
+    I = np.arange(lo, hi, dtype=order.dtype)[:, None]
+    # dj = rank[j][i] - rank[j][k] and dk = rank[k][i] - rank[k][j]
+    dJ = np.take_along_axis(rank_t[lo:hi], O, axis=1) - flat[O.astype(np.int64) * n + NXT]
+    dK = np.take_along_axis(rank_t[lo:hi], NXT, axis=1) - flat[NXT.astype(np.int64) * n + O]
+    aJ = np.abs(dJ)
+    aK = np.abs(dK)
+    infJ = aJ == m1
+    infK = aK == m1
+    odd = infJ ^ infK
+    odd[:, m1] ^= True  # the wrap is the arc of line i through infinity
+    keep = (infJ | (aJ == 1)) & (infK | (aK == 1)) & (O > I) & (NXT > I) & ~odd
+    hJ = (dJ == 1) | (dJ == -m1)
+    hK = (dK == 1) | (dK == -m1)
     emit = keep & ~(hJ & ~hK)  # drop the marked (cyclic) cell
     m11 = emit & hJ
     m00 = emit & ~hJ & ~hK
     m01 = emit & ~hJ & hK
-    del emit, keep, hJ, hK
 
     # keys in int64: n*n may exceed int32 for very large inputs
     II = np.broadcast_to(I, O.shape)
-    keys = [II[m11].astype(np.int64) * n + O[m11],
-            II[m00].astype(np.int64) * n + NXT[m00]]
-    wits = [NXT[m11], O[m00]]
     jj = O[m01]
     kk = NXT[m01]
-    keys.append(np.minimum(jj, kk).astype(np.int64) * n + np.maximum(jj, kk))
-    wits.append(II[m01])
-    return np.concatenate(keys), np.concatenate(wits)
+    keys += [II[m11].astype(np.int64) * n + O[m11],
+             II[m00].astype(np.int64) * n + NXT[m00],
+             np.minimum(jj, kk).astype(np.int64) * n + np.maximum(jj, kk)]
+    wits += [NXT[m11], O[m00], II[m01]]
 
 
 def group_exit_items_np(keys: np.ndarray, wits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -115,3 +131,21 @@ def group_exit_items_np(keys: np.ndarray, wits: np.ndarray) -> tuple[np.ndarray,
     ws = wits[idx]
     uniq, starts, counts = np.unique(ks, return_index=True, return_counts=True)
     return uniq, starts, counts, ws
+
+
+def exit_graph_np(uniq: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                  ws: np.ndarray, n: int) -> ExitGraph:
+    """The exit graph of group_exit_items_np's output: exit vertex
+    uniq[t] = a*n + b has the counts[t] witnesses that start at
+    ws[starts[t]]."""
+    several = np.flatnonzero(counts > 2)
+    if len(several):
+        t = several[0]
+        raise _triple_witness_error(int(counts[t]), int(uniq[t]), n)
+    w0 = ws[starts]
+    w1 = np.full_like(w0, -1)
+    two = np.flatnonzero(counts == 2)
+    other = ws[starts[two] + 1]
+    w1[two] = np.maximum(w0[two], other)
+    w0[two] = np.minimum(w0[two], other)
+    return ExitGraph(uniq // n, uniq % n, w0, w1)

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .dual import DualLine, crossing_position, dual_triangles, dualize
 from .geometry import PointSet, convex_hull, shear_to_generic
-from .oracle import ExitEdge
 
 
 def format_number(value: Fraction) -> str:
@@ -88,7 +87,7 @@ class _Canvas:
         return "\n".join(self.parts) + "\n</svg>\n"
 
 
-def _render_primal(ps: PointSet, edges: tuple[ExitEdge, ...]) -> str:
+def _render_primal(ps: PointSet, edges: list[tuple[int, int]]) -> str:
     pts = [(p.x, p.y) for p in ps.points]
     canvas = _Canvas(*_bbox(pts))
     canvas.open_document()
@@ -101,8 +100,7 @@ def _render_primal(ps: PointSet, edges: tuple[ExitEdge, ...]) -> str:
     for t in range(len(hull)):
         canvas.line(pts[hull[t]], pts[hull[(t + 1) % len(hull)]],
                     "#999999", thin, "hull", dash=base / 50)
-    for e in edges:
-        a, b = e.endpoints
+    for a, b in edges:
         canvas.line(pts[a], pts[b], "#000000", base / 100, "exit-edge")
     for i, p in enumerate(pts):
         canvas.disk(p, radius, "#000000", "point")
@@ -257,7 +255,7 @@ def render_svg(ps: PointSet, mode: str = "primal") -> str:
     if mode == "primal":
         from .dual import exit_edges_dual
 
-        return _render_primal(ps, exit_edges_dual(ps))
+        return _render_primal(ps, exit_edges_dual(ps).pairs())
     if mode == "dual":
         return _render_dual(ps)
     raise ValueError(f"unknown render mode {mode!r}")

@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 import exitgraph
-from exitgraph import random_general_position, serialize_points
+from exitgraph import (
+    exit_edges_bruteforce,
+    first_collinearity_morph,
+    point,
+    random_general_position,
+    serialize_points,
+)
 from exitgraph.cli import cli
 
 
@@ -54,6 +60,33 @@ def test_python_dash_m_runs_the_cli(square_file, capsys, module):
 
 def test_check_agrees_on_random_input(tmp_path, capsys):
     ps = random_general_position(10, random.Random(42))
+    f = tmp_path / "pts.txt"
+    f.write_text(serialize_points(ps))
+    assert cli(["check", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "brute force agrees: yes" in out
+    assert "4-hole test agrees: yes" in out
+
+
+def test_check_refuses_more_than_80_points_up_front(tmp_path, capsys, monkeypatch):
+    import exitgraph.cli as climod
+
+    def unreachable(ps):
+        raise AssertionError("check ran a method on a refused input")
+
+    for name in ("exit_edges_dual", "exit_edges_bruteforce", "exit_edges_via_holes"):
+        monkeypatch.setattr(climod, name, unreachable)
+    f = tmp_path / "pts.txt"
+    f.write_text(serialize_points(random_general_position(81, random.Random(81))))
+    assert cli(["check", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most 80 points, not 81" in captured.err
+    assert "exitgraph compute" in captured.err
+
+
+def test_check_accepts_80_points(tmp_path, capsys):
+    ps = random_general_position(80, random.Random(80))
     f = tmp_path / "pts.txt"
     f.write_text(serialize_points(ps))
     assert cli(["check", str(f)]) == 0
@@ -123,6 +156,34 @@ def test_morph_reports_event(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "t = 1/2" in out
     assert "witness 3: yes" in out
+
+
+def test_morph_witness_line_matches_bruteforce_lookup(tmp_path, capsys):
+    rng = random.Random(79)
+    seen = 0
+    for k in range(40):
+        n = rng.randint(5, 8)
+        ps = random_general_position(n, rng)
+        span = 4 * n * n
+        target = [(rng.randint(0, span), rng.randint(0, span)) for _ in range(n)]
+        a_file, b_file = tmp_path / f"a{k}.txt", tmp_path / f"b{k}.txt"
+        a_file.write_text(serialize_points(ps))
+        b_file.write_text("".join(f"{x} {y}\n" for x, y in target))
+        rc = cli(["morph", str(a_file), str(b_file)])
+        lines = capsys.readouterr().out.splitlines()
+        ev = first_collinearity_morph(ps, [point(x, y) for x, y in target])
+        if ev is None or not ev.between:
+            assert rc == 0 and not any("exit edge" in line for line in lines)
+            continue
+        seen += 1
+        # reference: look the triple up in the whole brute-force exit graph
+        a, b, c = ev.triple
+        edges = {e.endpoints: e.witnesses for e in exit_edges_bruteforce(ps)}
+        holds = (a, b) in edges and c in edges[(a, b)]
+        assert lines[-1] == (f"edge {{{a},{b}}} is an exit edge of the start set with "
+                             f"witness {c}: {'yes' if holds else 'NO'}")
+        assert rc == (0 if holds else 2)
+    assert seen >= 10, seen
 
 
 def test_morph_no_event(square_file, capsys):

@@ -1,10 +1,14 @@
+import random
+from array import array
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from exitgraph import (
     ConcurrentLinesError,
     ExitEdge,
+    ExitGraph,
     NonDistinctSlopesError,
     TripleSharedExitVertexError,
     dual_triangles,
@@ -127,13 +131,157 @@ def test_vectorized_path_matches_bruteforce_on_small_sets():
     assert sizes == set(range(4, 13))
 
 
+def test_blocked_tables_and_scan_match_one_block(monkeypatch):
+    # the numpy tables and scan run over blocks of rows; blocks of one
+    # row, and blocks that leave a remainder, give the same tables and edges
+    for ps in random_sets(60, 4, 12, seed=3300):
+        a, b = _dual_coefficients(ps)
+        with monkeypatch.context() as m:
+            m.setattr(fastscan, "_BLOCK_SLOTS", 1)
+            assert _exit_edges_vectorized(a, b, len(ps)) == exit_edges_bruteforce(ps)
+    for n in (64, 75, 100):
+        ps = next(iter(random_sets(1, n, n, seed=3300 + n)))
+        a, b = _dual_coefficients(ps)
+        order, rank = fastscan.crossing_tables_np(a, b)
+        with monkeypatch.context() as m:
+            m.setattr(dual, "_VECTOR_THRESHOLD", 10 ** 9)  # the pure-Python scan
+            python = exit_edges_dual(ps)
+        for slots in (1, 7 * n):
+            with monkeypatch.context() as m:
+                m.setattr(fastscan, "_BLOCK_SLOTS", slots)
+                blocked_order, blocked_rank = fastscan.crossing_tables_np(a, b)
+                assert np.array_equal(blocked_order, order)
+                assert np.array_equal(blocked_rank, rank)
+                assert _exit_edges_vectorized(a, b, n) == python
+
+    # a row that fails certification in a later block is still re-sorted
+    # exactly, and here raises on its concurrent lines
+    rng = random.Random(3)
+    pts = {(rng.randint(0, 4 * 70 * 70), rng.randint(0, 4 * 70 * 70)) for _ in range(67)}
+    base = 10 ** 6
+    ps = trusted_point_set(sorted(pts) + [(base, base), (base + 1, base + 1), (base + 2, base + 2)])
+    monkeypatch.setattr(fastscan, "_BLOCK_SLOTS", 1)
+    with pytest.raises(ConcurrentLinesError):
+        exit_edges_dual(ps)
+
+
 def test_exit_edge_builder_refuses_three_witnesses():
-    # both backends build their edges here; in general position no exit
-    # vertex gathers three witnesses
-    assert dual._exit_edge_tuple([1, 6], [[2, 3], 0], 4) == (
-        ExitEdge((0, 1), frozenset({2, 3})), ExitEdge((1, 2), frozenset({0})))
+    # each backend fills its columns in one builder; in general position
+    # no exit vertex gathers three witnesses
+    expected = (ExitEdge((0, 1), frozenset({2, 3})), ExitEdge((1, 2), frozenset({0})))
+    python = dual._exit_graph_from_groups({6: 0, 1: [3, 2]}, 4)
+    keys, wits = np.array([6, 1, 1], dtype=np.int64), np.array([0, 3, 2], dtype=np.int32)
+    vectorized = fastscan.exit_graph_np(*fastscan.group_exit_items_np(keys, wits), 4)
+    for graph in (python, vectorized):
+        assert graph == expected
+        assert [c.tolist() for c in (graph.a, graph.b, graph.w0, graph.w1)] == [
+            [0, 1], [1, 2], [2, 0], [3, -1]]
     with pytest.raises(TripleSharedExitVertexError):
-        dual._exit_edge_tuple([1], [[2, 3, 4]], 5)
+        dual._exit_graph_from_groups({1: [2, 3, 4]}, 5)
+    keys, wits = np.array([1, 1, 1], dtype=np.int64), np.array([2, 3, 4], dtype=np.int32)
+    with pytest.raises(TripleSharedExitVertexError):
+        fastscan.exit_graph_np(*fastscan.group_exit_items_np(keys, wits), 5)
+
+
+def _exit_edge_tuple(keys, witnesses, n):
+    """Reference: the tuple of ExitEdges that exit_edges_dual returned
+    before ExitGraph.  Exit vertex keys[t] = a*n + b, ascending, has the
+    witness witnesses[t], or the list witnesses[t] if it has several."""
+    edges = []
+    for key, ws in zip(keys, witnesses):
+        if type(ws) is int:
+            edges.append(ExitEdge(divmod(key, n), frozenset((ws,))))
+        elif len(ws) == 2:
+            edges.append(ExitEdge(divmod(key, n), frozenset(ws)))
+        else:
+            raise TripleSharedExitVertexError(
+                f"{len(ws)} witnesses for exit vertex {divmod(key, n)}")
+    return tuple(edges)
+
+
+def _reference_python(a, b):
+    groups = dual._group_cells(a, b)
+    keys = sorted(groups)
+    return _exit_edge_tuple(keys, map(groups.__getitem__, keys), len(a))
+
+
+def _reference_vectorized(a, b):
+    order, rank = fastscan.crossing_tables_np(a, b)
+    keys, wits = fastscan.scan_exit_items_np(order, rank)
+    uniq, starts, counts, ws = fastscan.group_exit_items_np(keys, wits)
+    witnesses = ws[starts].tolist()
+    several = (counts > 1).nonzero()[0]
+    ws = ws.tolist()
+    for t, s, c in zip(several.tolist(), starts[several].tolist(), counts[several].tolist()):
+        witnesses[t] = ws[s:s + c]
+    return _exit_edge_tuple(uniq.tolist(), witnesses, len(a))
+
+
+_SLICES = (slice(None), slice(1, None), slice(None, -1), slice(-3, None),
+           slice(None, None, -2), slice(2, 100, 3), slice(5, 2), slice(-1000, 1000))
+
+
+def _assert_same_edges(graph, ref):
+    assert isinstance(graph, ExitGraph)
+    assert len(graph) == len(ref)
+    assert list(graph) == list(ref)
+    assert tuple(graph[t] for t in range(-len(ref), len(ref))) == ref + ref
+    for cut in _SLICES:
+        assert graph[cut] == ref[cut], cut
+    assert graph == ref and ref == graph
+    assert not graph != ref and not ref != graph
+    for t in (len(ref), -len(ref) - 1):
+        with pytest.raises(IndexError):
+            graph[t]
+
+
+def test_exit_graph_matches_tuple_builder_on_both_backends(monkeypatch):
+    backends = {"python": 0, "numpy": 0}
+    for _, ps in mixed_sets(150, 3, 14, seed=3030):
+        a, b = _dual_coefficients(ps)
+        _assert_same_edges(exit_edges_dual(ps), _reference_python(a, b))
+        backends["python"] += 1
+        if fastscan.coords_are_safe(a, b):
+            _assert_same_edges(_exit_edges_vectorized(a, b, len(ps)),
+                               _reference_vectorized(a, b))
+            backends["numpy"] += 1
+    assert backends["python"] == 150 and backends["numpy"] >= 90, backends
+
+    for n in range(64, 101):
+        ps = next(iter(random_sets(1, n, n, seed=3100 + n)))
+        a, b = _dual_coefficients(ps)
+        vectorized = exit_edges_dual(ps)
+        assert isinstance(vectorized.a, np.ndarray)
+        _assert_same_edges(vectorized, _reference_vectorized(a, b))
+        with monkeypatch.context() as m:
+            m.setattr(dual, "_VECTOR_THRESHOLD", 10 ** 9)  # the pure-Python scan
+            python = exit_edges_dual(ps)
+        assert not isinstance(python.a, np.ndarray)
+        _assert_same_edges(python, _reference_python(a, b))
+        assert python == vectorized and vectorized == python
+
+
+def test_exit_graph_differs_from_tuple_with_one_witness_changed(monkeypatch):
+    ps = next(iter(random_sets(1, 70, 70, seed=3200)))
+    graphs = [exit_edges_dual(ps)]
+    monkeypatch.setattr(dual, "_VECTOR_THRESHOLD", 10 ** 9)
+    graphs.append(exit_edges_dual(ps))
+    for graph in graphs:
+        ref = tuple(graph)
+        for t in (0, len(ref) // 2, len(ref) - 1,
+                  next(t for t, e in enumerate(ref) if len(e.witnesses) == 2)):
+            e = ref[t]
+            other = next(c for c in range(70) if c not in e.endpoints and c not in e.witnesses)
+            witnesses = sorted(e.witnesses)
+            witnesses[0] = other
+            changed = ref[:t] + (ExitEdge(e.endpoints, frozenset(witnesses)),) + ref[t + 1:]
+            assert graph != changed and changed != graph
+            assert not graph == changed and not changed == graph
+            columns = graph.columns()
+            columns[2][t] = other
+            assert graph != ExitGraph(*(array("q", c) for c in columns))
+        assert graph != ref[:-1] and graph != ref + ref[:1]
+        assert graph == ExitGraph(*(array("q", c) for c in graph.columns()))
 
 
 def _directed_arcs(rank, m, i, j, k, inf_i, inf_j, inf_k):
