@@ -13,7 +13,13 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
-from .dual import dual_triangles, exit_edges_dual, hourglasses
+from .dual import (
+    _dual_coefficients,
+    _group_cells,
+    _triple_witness_error,
+    _witness_set,
+    exit_edges_dual,
+)
 from .geometry import (
     CollinearTripleError,
     DuplicatePointError,
@@ -56,25 +62,52 @@ class StatsReport:
 
 def stats_report(ps: PointSet) -> StatsReport:
     """Triangle/hourglass accounting of the dual arrangement with the
-    counting-bound verdicts evaluated on this instance."""
+    counting-bound verdicts evaluated on this instance.
+
+    Counts from one pass of the cell scan and builds no cell: the same
+    numbers as dual_triangles and hourglasses give, in O(n) memory past
+    the crossing tables and the scan's exit-vertex groups.
+    """
+    return _stats_and_groups(ps)[0]
+
+
+def _stats_and_groups(ps: PointSet) -> tuple[StatsReport, dict[int, int | list[int]]]:
+    """stats_report, and the exit-vertex groups of its scan (see
+    dual._group_cells), from which dual._exit_graph_from_groups builds
+    the exit graph without a second scan."""
     n = len(ps)
     if n < 4:
         raise TooFewPointsError("statistics need at least 4 points")
-    tris = dual_triangles(ps)
-    glasses = hourglasses(tris)
-    T = len(tris)
-    unmarked = [t for t in tris if not t.marked]
-    H = len(glasses)
-    exit_count = len({t.exit_vertex for t in unmarked})
-
-    t_by_line = {i: 0 for i in range(n)}
-    h_by_line = {i: 0 for i in range(n)}
-    for t in tris:
-        for src in t.lines:
+    groups, marked = _group_cells(*_dual_coefficients(ps))
+    # an unmarked cell lies on the two lines of its exit vertex and on its
+    # witness; the two cells of an hourglass both slice its exit vertex's
+    # two lines
+    t_by_line = [0] * n
+    h_by_line = [0] * n
+    unmarked = H = 0
+    for key, ws in groups.items():
+        a, b = divmod(key, n)
+        if type(ws) is int:
+            t_by_line[ws] += 1
+            cells = 1
+        elif len(ws) == 2:
+            t_by_line[ws[0]] += 1
+            t_by_line[ws[1]] += 1
+            h_by_line[a] += 1
+            h_by_line[b] += 1
+            H += 1
+            cells = 2
+        else:
+            raise _triple_witness_error(len(ws), key, n)
+        t_by_line[a] += cells
+        t_by_line[b] += cells
+        unmarked += cells
+    for lines in marked:
+        for src in lines:
             t_by_line[src] += 1
-    for g in glasses:
-        for src in g.slicing_lines:
-            h_by_line[src] += 1
+    T = unmarked + len(marked)
+    exit_count = len(groups)
+
     per_line = tuple(
         LineStats(i, t_by_line[i], h_by_line[i],
                   Fraction(t_by_line[i]) - Fraction(h_by_line[i], 2))
@@ -87,7 +120,7 @@ def stats_report(ps: PointSet) -> StatsReport:
     verdicts = {
         "exit_count_ge_lower_bound": exit_count >= -(-(3 * n - 7) // 5),
         "exit_count_le_upper_bound": exit_count <= (n * (n - 1)) // 3,
-        "exit_count_is_unmarked_minus_hourglasses": exit_count == len(unmarked) - H,
+        "exit_count_is_unmarked_minus_hourglasses": exit_count == unmarked - H,
         "sum_t_is_three_triangles": sum(ls.t for ls in per_line) == 3 * T,
         "sum_h_is_two_hourglasses": sum(ls.h for ls in per_line) == 2 * H,
         "three_t_minus_h_ge_3n_minus_2": 3 * T - H >= 3 * n - 2,
@@ -97,7 +130,7 @@ def stats_report(ps: PointSet) -> StatsReport:
     return StatsReport(
         n=n,
         triangles=T,
-        triangles_unmarked=len(unmarked),
+        triangles_unmarked=unmarked,
         hourglass_count=H,
         exit_edge_count=exit_count,
         per_line=per_line,
@@ -105,7 +138,7 @@ def stats_report(ps: PointSet) -> StatsReport:
         upper_bound=upper,
         sum_x=sum_x,
         verdicts=verdicts,
-    )
+    ), groups
 
 
 # -- crossings and the outer face of the exit graph ------------------
@@ -367,13 +400,14 @@ def compare_exit_structures(s: PointSet, t: PointSet) -> ExitStructureComparison
     labeled order types agree?  Reports the discrepancies of both kinds."""
     if len(s) != len(t):
         raise SizeMismatchError(f"sizes differ: {len(s)} vs {len(t)}")
-    es = {e.endpoints: e.witnesses for e in exit_edges_dual(s)}
-    et = {e.endpoints: e.witnesses for e in exit_edges_dual(t)}
-    only_s = tuple(sorted(set(es) - set(et)))
-    only_t = tuple(sorted(set(et) - set(es)))
+    # (w0, w1) columns are equal iff the witness sets are: see ExitGraph
+    es, et = ({(a, b): (w0, w1) for a, b, w0, w1 in zip(*exit_edges_dual(ps).columns())}
+              for ps in (s, t))
+    only_s = tuple(sorted(es.keys() - et.keys()))
+    only_t = tuple(sorted(et.keys() - es.keys()))
     wit = tuple(
-        (pair, es[pair], et[pair])
-        for pair in sorted(set(es) & set(et))
+        (pair, _witness_set(*es[pair]), _witness_set(*et[pair]))
+        for pair in sorted(es.keys() & et.keys())
         if es[pair] != et[pair]
     )
     mismatch = _first_orientation_mismatch(s, t)

@@ -11,12 +11,12 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    _stats_and_groups,
     compare_exit_structures,
     exit_graph_crossings,
     search_min_exit_edges,
-    stats_report,
 )
-from .dual import exit_edges_dual
+from .dual import _exit_graph_from_groups, exit_edges_dual
 from .geometry import GeometryError, PointSet
 from .morph import first_collinearity_morph
 from .oracle import exit_edges_bruteforce, exit_edges_via_holes, is_exit_edge_with_witness
@@ -71,9 +71,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_stats(args) -> int:
     ps = _load(args.file)
-    rep = stats_report(ps)
+    rep, groups = _stats_and_groups(ps)
     if args.json:
-        print(render_json(build_report(ps, exit_edges_dual(ps), rep)), end="")
+        # the exit edges from the groups of the statistics' scan: one scan
+        edges = _exit_graph_from_groups(groups, len(ps))
+        print(render_json(build_report(ps, edges, rep)), end="")
     else:
         print(f"n = {rep.n}")
         print(f"triangular cells = {rep.triangles} "

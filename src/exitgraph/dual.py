@@ -16,10 +16,11 @@ non-separating curve, which bounds nothing.
 
 One pure-Python scan, ``_scan_cells``, makes these tests and decides each
 cell's exit vertex and witness; ``dual_triangles`` and ``exit_edges_dual``
-both consume it (``fastscan.scan_exit_items_np`` is its numpy
-counterpart for large inputs).  Three lines have two crossings each, so
-their four cells cannot be told apart by adjacency: n = 3 is decided by
-a closed form instead, before any scan.
+both consume it, and ``analysis.stats_report`` counts from its groups
+(``fastscan.scan_exit_items_np`` is its numpy counterpart for large
+inputs).  Three lines have two crossings each, so their four cells
+cannot be told apart by adjacency: n = 3 is decided by a closed form
+instead, before any scan.
 """
 
 from __future__ import annotations
@@ -182,7 +183,6 @@ class Hourglass:
 
     cells: tuple[DualTriangle, DualTriangle]
     shared_exit_vertex: tuple[int, int]
-    slicing_lines: tuple[int, int]
 
 
 # (i, j, k, inf_i, inf_j, inf_k, w): the three lines with i the smallest,
@@ -297,7 +297,7 @@ def hourglasses(tris: Sequence[DualTriangle]) -> list[Hourglass]:
             raise TripleSharedExitVertexError(
                 f"{len(cells)} triangles share exit vertex {vertex}")
         if len(cells) == 2:
-            out.append(Hourglass((cells[0], cells[1]), vertex, vertex))
+            out.append(Hourglass((cells[0], cells[1]), vertex))
     return out
 
 
@@ -349,8 +349,12 @@ class ExitGraph(Sequence[ExitEdge]):
         return f"ExitGraph({list(self)!r})"
 
 
+def _witness_set(w0: int, w1: int) -> frozenset[int]:
+    return frozenset((w0,) if w1 < 0 else (w0, w1))
+
+
 def _edge(a: int, b: int, w0: int, w1: int) -> ExitEdge:
-    return ExitEdge((a, b), frozenset((w0,) if w1 < 0 else (w0, w1)))
+    return ExitEdge((a, b), _witness_set(w0, w1))
 
 
 def _triple_witness_error(count: int, key: int, n: int) -> TripleSharedExitVertexError:
@@ -379,14 +383,19 @@ def _exit_graph_from_groups(groups: dict[int, int | list[int]], n: int) -> ExitG
     return ExitGraph(*cols)
 
 
-def _group_cells(a: list[int], b: list[int]) -> dict[int, int | list[int]]:
+def _group_cells(a: list[int], b: list[int]) -> tuple[dict[int, int | list[int]],
+                                                      list[tuple[int, int, int]]]:
     """The witnesses of each exit vertex key = a*n + b (a < b) over the
     unmarked cells of the pure-Python scan: an int for one witness, a
-    list for several."""
+    list for several.  Also returns the lines of the marked triangular
+    cells (at most one): the groups and these name every cell's lines."""
     n = len(a)
     groups: dict[int, int | list[int]] = {}
+    marked = []
     for i, j, k, _, _, _, w in _cells(a, b):
-        if w >= 0:
+        if w < 0:
+            marked.append((i, j, k))
+        else:
             key = (j * n + k if j < k else k * n + j) if w == i else i * n + j + k - w
             ws = groups.get(key)
             if ws is None:
@@ -395,7 +404,7 @@ def _group_cells(a: list[int], b: list[int]) -> dict[int, int | list[int]]:
                 groups[key] = [ws, w]
             else:
                 ws.append(w)
-    return groups
+    return groups, marked
 
 
 # below this size the vectorized path is not worth its setup cost (and
@@ -432,4 +441,4 @@ def exit_edges_dual(ps: PointSet) -> ExitGraph:
 
         if fastscan.coords_are_safe(a, b):
             return _exit_edges_vectorized(a, b, n)
-    return _exit_graph_from_groups(_group_cells(a, b), n)
+    return _exit_graph_from_groups(_group_cells(a, b)[0], n)

@@ -14,10 +14,12 @@ from exitgraph import (
     certify_general_position,
     compare_exit_structures,
     convex_hull,
+    dual_triangles,
     exit_edges_bruteforce,
     exit_edges_dual,
     exit_graph_crossings,
     find_order_type_bijection,
+    hourglasses,
     outer_face_vertices,
     random_general_position,
     same_order_type_labeled,
@@ -84,6 +86,50 @@ def test_random_stats_verdicts_hold():
     for ps in random_sets(60, 4, 12, seed=1313):
         rep = stats_report(ps)
         assert rep.all_bounds_hold, rep.verdicts
+
+
+def _stats_counts_reference(ps):
+    """T, unmarked, H, the exit count and per-line (t, h, x) counted from
+    the cell objects, as stats_report once counted them."""
+    tris = dual_triangles(ps)
+    glasses = hourglasses(tris)
+    t = [0] * len(ps)
+    h = [0] * len(ps)
+    for tri in tris:
+        for src in tri.lines:
+            t[src] += 1
+    for g in glasses:
+        for src in g.shared_exit_vertex:
+            h[src] += 1
+    unmarked = [tri for tri in tris if not tri.marked]
+    per_line = [(i, t[i], h[i], Fraction(t[i]) - Fraction(h[i], 2)) for i in range(len(ps))]
+    return (len(tris), len(unmarked), len(glasses),
+            len({tri.exit_vertex for tri in unmarked}), per_line)
+
+
+def _stats_counts(rep):
+    return (rep.triangles, rep.triangles_unmarked, rep.hourglass_count, rep.exit_edge_count,
+            [(ls.source, ls.t, ls.h, ls.x) for ls in rep.per_line])
+
+
+def test_stats_counts_match_cell_objects():
+    kinds = dict.fromkeys(KINDS, 0)
+    for kind, ps in mixed_sets(150, 4, 14, seed=2121):
+        assert _stats_counts(stats_report(ps)) == _stats_counts_reference(ps), kind
+        kinds[kind] += 1
+    assert all(v == 50 for v in kinds.values())
+    # from 64 points on, exit_edges_dual runs the numpy scan where the
+    # coordinates allow it, and the big coordinates keep the Python scan
+    large = [*random_sets(5, 64, 100, seed=2222),
+             *(ps for _, ps in mixed_sets(4, 64, 100, seed=2323, kinds=("rational", "big")))]
+    numpy_runs = 0
+    for ps in large:
+        rep = stats_report(ps)
+        assert _stats_counts(rep) == _stats_counts_reference(ps)
+        edges = exit_edges_dual(ps)
+        assert rep.exit_edge_count == len(edges)
+        numpy_runs += type(edges.a).__module__ == "numpy"
+    assert 5 <= numpy_runs < len(large)  # both backends ran
 
 
 def test_crossings_square_and_triangle(unit_square, triangle):
@@ -165,12 +211,14 @@ def test_outer_face_with_labels_off_the_exit_graph():
 
 
 def test_small_analyses_never_load_numpy():
-    # below 64 points the exact Python scan runs; analysis_mix's memory
-    # figure rests on numpy staying unloaded
+    # below 64 points the exact Python scan runs, and stats_report runs it
+    # at any size; analysis_mix's memory figure rests on numpy staying
+    # unloaded
     code = (
         "import random, sys, exitgraph\n"
         "ps = exitgraph.random_general_position(40, random.Random(3))\n"
         "exitgraph.stats_report(ps)\n"
+        "exitgraph.stats_report(exitgraph.random_general_position(70, random.Random(5)))\n"
         "exitgraph.exit_graph_crossings(ps)\n"
         "exitgraph.outer_face_vertices(ps)\n"
         "exitgraph.search_min_exit_edges(12, 3, 4)\n"
