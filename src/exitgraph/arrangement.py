@@ -284,13 +284,6 @@ class ProjectiveArrangement:
         """Source labels of the lines bounding a cell."""
         return {self.lines[self.edges[e].line].source for e, _ in cell.boundary}
 
-    def boundary_walk(self, cell: ProjectiveCell):
-        """Yield (vertex id, edge id, direction): the vertex is where the
-        walk stands before traversing the edge."""
-        for eid, d in cell.boundary:
-            e = self.edges[eid]
-            yield (e.tail if d > 0 else e.head, eid, d)
-
 
 def build_arrangement(lines: Sequence[DualLine]) -> ProjectiveArrangement:
     """Construct the projective cell complex of the given dual lines."""

@@ -14,6 +14,11 @@ them the crossings with the other two are cyclically adjacent and the
 number of infinity arcs used is even; an odd count would give a
 non-separating curve, which bounds nothing.
 
+The crossing orders are exact: ``crossing_tables`` sorts every line's
+crossings on integer keys (``_exact_row``), with no float step;
+``fastscan.crossing_tables_np`` pre-sorts on floats and re-sorts each
+row it cannot certify with the same ``_exact_row``.
+
 One pure-Python scan, ``_scan_cells``, makes these tests and decides each
 cell's exit vertex and witness; ``dual_triangles`` and ``exit_edges_dual``
 both consume it, and ``analysis.stats_report`` counts from its groups
@@ -29,7 +34,6 @@ import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
@@ -81,25 +85,30 @@ def crossing_position(la: DualLine, lb: DualLine) -> tuple[Fraction, Fraction]:
     return x, la.y_at(x)
 
 
-def _exact_row(a: Sequence[int], b: Sequence[int], i: int, row: list[int]) -> list[int]:
-    """``row`` sorted exactly by the x of each line's crossing with line i.
+def _scaled_intercepts(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """b * D^2, where D = max(a) - min(a) is the spread of the slopes: the
+    intercepts that _exact_row keys on."""
+    q = (max(a) - min(a)) ** 2
+    return [q * x for x in b]
 
-    Raises ConcurrentLinesError when two of those crossings coincide.
+
+def _exact_row(a: Sequence[int], qb: Sequence[int], i: int, row: list[int]) -> list[int]:
+    """``row`` sorted by the x of each line's crossing with line i, where
+    qb is ``_scaled_intercepts(a, b)``.
+
+    Line j crosses line i at x_j = (b[j] - b[i]) / (a[i] - a[j]), with
+    0 < |a[i] - a[j]| <= D, so two distinct crossings differ by at least
+    1/D^2 and the integer key floor(x_j * D^2) is strictly increasing in
+    x_j.  Equal keys are coinciding crossings: raises
+    ConcurrentLinesError for the first such pair in the sorted row.
     """
-    ai, bi = a[i], b[i]
-
-    def cmp(j: int, k: int) -> int:
-        d1 = ai - a[j]
-        d2 = ai - a[k]
-        s = (b[j] - bi) * d2 - (b[k] - bi) * d1
-        if (d1 < 0) != (d2 < 0):
-            s = -s
-        return (s > 0) - (s < 0)
-
-    row = sorted(row, key=cmp_to_key(cmp))
-    for j, k in zip(row, row[1:]):
-        if cmp(j, k) == 0:
-            raise ConcurrentLinesError(i, *sorted((j, k)))
+    ai, bi = a[i], qb[i]
+    key = dict(zip(row, [(qb[j] - bi) // (ai - a[j]) for j in row]))
+    row = sorted(row, key=key.__getitem__)
+    if len(set(key.values())) < len(row):
+        for j, k in zip(row, row[1:]):
+            if key[j] == key[k]:
+                raise ConcurrentLinesError(i, *sorted((j, k)))
     return row
 
 
@@ -108,10 +117,7 @@ def crossing_tables(a: Sequence[int], b: Sequence[int]) -> tuple[list[list[int]]
 
     Returns (order, rank): order[i] lists the other lines sorted by the x
     of their crossing with line i; rank[i][j] is j's position in order[i].
-    Rows are pre-sorted on float keys for speed, then every adjacent pair
-    is certified by an exact integer sign test; a row that fails
-    certification is re-sorted with exact comparisons.  The returned
-    order is therefore exact.
+    Every row is sorted on the exact integer keys of ``_exact_row``.
     """
     n = len(a)
     if n < 2:
@@ -122,37 +128,14 @@ def crossing_tables(a: Sequence[int], b: Sequence[int]) -> tuple[list[list[int]]
             raise NonDistinctSlopesError(f"lines {seen[ai]} and {i} have equal slope")
         seen[ai] = i
 
+    qb = _scaled_intercepts(a, b)
     ids = list(range(n))
     order: list[list[int]] = []
     rank: list[list[int]] = []
     for i in range(n):
-        ai = a[i]
-        bi = b[i]
-        row = ids[:i] + ids[i + 1:]
-        try:
-            row.sort(key=lambda j: (b[j] - bi) / (ai - a[j]))
-        except OverflowError:
-            row = _exact_row(a, b, i, row)
-        # certify the order: an unsorted row always has an adjacent inversion
-        prev = row[0]
-        dp = ai - a[prev]
-        np_ = b[prev] - bi
-        for t in range(1, n - 1):
-            cur = row[t]
-            dc = ai - a[cur]
-            nc = b[cur] - bi
-            s = np_ * dc - nc * dp
-            if dp < 0:
-                s = -s
-            if dc < 0:
-                s = -s
-            if s >= 0:
-                if s == 0:
-                    raise ConcurrentLinesError(i, *sorted((prev, cur)))
-                row = _exact_row(a, b, i, row)
-                break
-            prev, dp, np_ = cur, dc, nc
+        row = _exact_row(a, qb, i, ids[:i] + ids[i + 1:])
         ranks = [0] * n
+        # ids[pos], not pos: every rank row shares the n int objects of ids
         for pos, j in enumerate(row):
             ranks[j] = ids[pos]
         order.append(row)
@@ -257,7 +240,7 @@ def _cells(a: list[int], b: list[int]) -> Iterable[_Cell]:
         # marks the cell on the infinity arcs of lo and hi, gives the
         # bounded cell the witness mid, and the cell on the infinity arcs
         # of mid and x the witness x
-        _exact_row(a, b, 0, [1, 2])  # raises if the three lines are concurrent
+        _exact_row(a, _scaled_intercepts(a, b), 0, [1, 2])  # raises if concurrent
         lo, mid, hi = sorted(range(3), key=a.__getitem__)
         return [(0, 1, 2, 0 in u, 1 in u, 2 in u, w)
                 for u, w in (({lo, hi}, -1), ((), mid), ({mid, hi}, hi), ({lo, mid}, lo))]

@@ -5,7 +5,9 @@ dual._scan_cells, on int64 arrays.  All decisions stay exact: float keys
 only pre-sort the crossings, and every adjacent pair is then certified by
 an integer sign test; the int64 products cannot overflow because callers
 guard the coordinate magnitude with MAX_SAFE_COORD.  Rows that fail
-certification are re-sorted with the exact comparator of dual._exact_row.
+certification are re-sorted by dual._exact_row, on the exact integer keys
+that sort every row of dual.crossing_tables (int64 cannot hold those
+keys, so numpy keeps the float filter).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import ExitGraph, _exact_row, _triple_witness_error
+from .dual import ExitGraph, _exact_row, _scaled_intercepts, _triple_witness_error
 
 # |a|, |b| <= 2^29 keeps every certification product within int64:
 # |n*d| <= (2^30)^2 = 2^60 and |s| <= 2^61
@@ -61,8 +63,9 @@ def crossing_tables_np(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, 
         S = NN[:, :-1] * DD[:, 1:] - NN[:, 1:] * DD[:, :-1]
         S *= np.sign(DD[:, :-1]) * np.sign(DD[:, 1:])
         bad_rows += (np.nonzero((S >= 0).any(axis=1))[0] + lo).tolist()
+    qb = _scaled_intercepts(a, b)
     for i in bad_rows:
-        order[i] = _exact_row(a, b, i, order[i].tolist())
+        order[i] = _exact_row(a, qb, i, order[i].tolist())
 
     rank = np.full((n, n), -1, dtype=np.int32)
     np.put_along_axis(rank, order, np.arange(n - 1, dtype=np.int32)[None, :], axis=1)

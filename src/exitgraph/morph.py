@@ -88,10 +88,6 @@ class QuadraticRoot:
             p, q, r = p // g, q // g, r // g
         return QuadraticRoot(p, q, d, r)
 
-    @staticmethod
-    def from_fraction(f: Fraction) -> "QuadraticRoot":
-        return QuadraticRoot.make(f.numerator, 0, 0, f.denominator)
-
     def as_fraction(self) -> Fraction | None:
         return Fraction(self.p, self.r) if self.q == 0 else None
 

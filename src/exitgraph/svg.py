@@ -12,6 +12,7 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from .arrangement import _side
 from .dual import DualLine, crossing_position, dual_triangles, dualize
 from .geometry import PointSet, convex_hull, shear_to_generic
 
@@ -132,11 +133,6 @@ def _halfplane(line: DualLine, sign: int):
     return side
 
 
-def _side_of(line: DualLine, pt) -> int:
-    s = pt[1] - line.y_at(pt[0])
-    return (s > 0) - (s < 0)
-
-
 def _clip_line_to_rect(line: DualLine, canvas: _Canvas):
     """Visible piece of a non-vertical line inside the viewport, or None."""
     ay, by = line.y_at(canvas.x0), line.y_at(canvas.x1)
@@ -207,12 +203,12 @@ def dual_cell_polygons(ps: PointSet):
         dp = _away_ray(lp, apex, vp)
         dq = _away_ray(lq, apex, vq)
         sample = (apex[0] + dp[0] + dq[0], apex[1] + dp[1] + dq[1])
-        sp, sq = _side_of(lp, sample), _side_of(lq, sample)
+        sp, sq = _side(lp, sample), _side(lq, sample)
         wedge = _clip_halfplane(_clip_halfplane(rect, _halfplane(lp, sp)),
                                 _halfplane(lq, sq))
         far = _clip_halfplane(_clip_halfplane(_clip_halfplane(
             rect, _halfplane(lp, -sp)), _halfplane(lq, -sq)),
-            _halfplane(lw, -_side_of(lw, apex)))
+            _halfplane(lw, -_side(lw, apex)))
         for piece in (wedge, far):
             if len(piece) >= 3:
                 pieces.append((t, tag, piece))

@@ -47,9 +47,11 @@ _BIG = 1 << 66
 
 def _coordinate(kind, rng, n):
     # the small integer grid makes shared x and y common: horizontal and
-    # vertical edges, and rays through vertices
+    # vertical edges, and rays through vertices; from 64 points on, a
+    # 3n x 3n grid almost always holds a collinear triple, so the side
+    # grows to n^2
     if kind == "int":
-        return rng.randint(0, 3 * n)
+        return rng.randint(0, 3 * n if n < 64 else n * n)
     if kind == "rational":
         return Fraction(rng.randint(-4 * n * n, 4 * n * n), rng.randint(1, 9))
     return _BIG + rng.randint(0, 4 * n * n) * (1 << 30)

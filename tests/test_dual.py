@@ -11,6 +11,7 @@ from exitgraph import (
     ExitGraph,
     NonDistinctSlopesError,
     TripleSharedExitVertexError,
+    certify_general_position,
     dual_triangles,
     dualize,
     exit_edges_bruteforce,
@@ -46,15 +47,42 @@ def test_crossing_tables_detect_concurrency():
         crossing_tables(a, b)
 
 
-def test_crossing_tables_order_is_exact():
-    a = [0, 1, 2, 5]
-    b = [0, -3, 1, 2]
+# crossings whose x coordinates differ by about 1e-18, below the
+# resolution of a float key
+_NEAR_TIES = [(0, 0), (1, 10 ** 9), (10 ** 9, 1), (10 ** 9 + 1, -10 ** 9), (2, 2 * 10 ** 9 + 1)]
+
+
+def _assert_exact_tables(a, b):
+    """order[i] is the Fraction-sorted x of the crossings on line i, rank
+    is its inverse, and the numpy tables agree where they are safe."""
+    n = len(a)
     order, rank = crossing_tables(a, b)
-    for i in range(4):
-        xs = [Fraction(b[j] - b[i], a[i] - a[j]) for j in order[i]]
-        assert xs == sorted(xs)
-        for pos, j in enumerate(order[i]):
-            assert rank[i][j] == pos
+    for i in range(n):
+        xs = {j: Fraction(b[j] - b[i], a[i] - a[j]) for j in range(n) if j != i}
+        assert order[i] == sorted(xs, key=xs.__getitem__)
+        assert [rank[i][j] for j in order[i]] == list(range(n - 1))
+    if fastscan.coords_are_safe(a, b):
+        order_np, rank_np = fastscan.crossing_tables_np(a, b)
+        np.fill_diagonal(rank_np, 0)  # the Python tables leave rank[i][i] at 0
+        assert order_np.tolist() == order
+        assert rank_np.tolist() == rank
+
+
+def test_crossing_tables_order_is_exact():
+    _assert_exact_tables([0, 1, 2, 5], [0, -3, 1, 2])
+    for _, ps in mixed_sets(12, 4, 24, seed=8088):
+        _assert_exact_tables(*_dual_coefficients(ps))
+    _assert_exact_tables(*_dual_coefficients(trusted_point_set(_NEAR_TIES)))
+    # past the float range: a float key of these crossings overflows
+    ps = next(iter(random_sets(1, 12, 12, seed=1100)))
+    scale = 1 << 1100
+    _assert_exact_tables(*_dual_coefficients(
+        trusted_point_set([(p.x * scale, p.y * scale) for p in ps.points])))
+    # integer grids from 64 points on: sheared sets on the numpy path
+    for _, ps in mixed_sets(3, 64, 80, seed=6480, kinds=("int",)):
+        a, b = _dual_coefficients(ps)
+        assert fastscan.coords_are_safe(a, b)
+        _assert_exact_tables(a, b)
 
 
 def test_triangle_dual_cells(triangle):
@@ -427,15 +455,25 @@ def test_huge_coordinates_fall_back_to_exact_python_path():
 
 
 def test_exact_resort_survives_adversarial_near_ties():
-    # crossings whose x coordinates differ by ~1e-18 force the exact
-    # certification to overrule the float pre-sort
-    base = 10 ** 9
-    pts = [
-        (0, 0),
-        (1, base),
-        (base, 1),
-        (base + 1, -base),
-        (2, 2 * base + 1),
-    ]
-    ps = trusted_point_set(pts)
+    # the pure-Python tables sort every row on exact integer keys, so
+    # near-tie crossings come out in their exact order
+    ps = trusted_point_set(_NEAR_TIES)
     assert exit_edges_dual(ps) == exit_edges_bruteforce(ps)
+
+
+def test_vectorized_exact_resort_of_a_failed_row(monkeypatch):
+    # row 0 fails the float certification of the numpy tables: the float
+    # keys of two of its crossings tie, and its exact re-sort does not raise
+    k = (1 << 29) - 1
+    ps = certify_general_position([(0, 0), (-k, -(k - 1)), (-(k - 2), -(k - 3)), (5, 7), (-11, 3)])
+    resorted = []
+    exact_row = fastscan._exact_row
+
+    def spy(a, qb, i, row):
+        resorted.append(i)
+        return exact_row(a, qb, i, row)
+
+    monkeypatch.setattr(fastscan, "_exact_row", spy)
+    a, b = _dual_coefficients(ps)
+    assert _exit_edges_vectorized(a, b, len(ps)) == exit_edges_bruteforce(ps)
+    assert 0 in resorted
