@@ -73,6 +73,7 @@ from .analysis import (
     StatsReport,
     compare_exit_structures,
     exit_graph_crossings,
+    exit_graph_stats,
     find_order_type_bijection,
     outer_face_vertices,
     random_general_position,

@@ -14,9 +14,10 @@ from functools import cmp_to_key
 from math import gcd
 
 from .dual import (
+    ExitGraph,
     _dual_coefficients,
-    _group_cells,
-    _triple_witness_error,
+    _exit_graph,
+    _exit_items,
     _witness_set,
     exit_edges_dual,
 )
@@ -27,6 +28,7 @@ from .geometry import (
     SizeMismatchError,
     TooFewPointsError,
     certify_general_position,
+    convex_hull,
     turn,
 )
 
@@ -64,49 +66,52 @@ def stats_report(ps: PointSet) -> StatsReport:
     """Triangle/hourglass accounting of the dual arrangement with the
     counting-bound verdicts evaluated on this instance.
 
-    Counts from one pass of the cell scan and builds no cell: the same
-    numbers as dual_triangles and hourglasses give, in O(n) memory past
-    the crossing tables and the scan's exit-vertex groups.
+    The exit_graph_stats of the pure-Python scan's exit graph: it never
+    loads numpy, at any size.
     """
-    return _stats_and_groups(ps)[0]
+    if len(ps) < 4:
+        raise TooFewPointsError("statistics need at least 4 points")
+    return exit_graph_stats(ps, _exit_graph(_exit_items(*_dual_coefficients(ps)), len(ps)))
 
 
-def _stats_and_groups(ps: PointSet) -> tuple[StatsReport, dict[int, int | list[int]]]:
-    """stats_report, and the exit-vertex groups of its scan (see
-    dual._group_cells), from which dual._exit_graph_from_groups builds
-    the exit graph without a second scan."""
+def exit_graph_stats(ps: PointSet, edges: ExitGraph) -> StatsReport:
+    """stats_report of a set whose exit graph, from either backend, is
+    ``edges``.
+
+    Counts from the graph and the convex hull, and builds no cell: each
+    witness w of an exit edge ab is the unmarked cell on the lines a, b
+    and w, an edge with two witnesses is an hourglass, and the marked
+    cell is triangular iff the hull has three vertices, whose lines
+    bound it.  The same numbers as dual_triangles and hourglasses give,
+    in O(n) memory past the graph.
+    """
     n = len(ps)
     if n < 4:
         raise TooFewPointsError("statistics need at least 4 points")
-    groups, marked = _group_cells(*_dual_coefficients(ps))
-    # an unmarked cell lies on the two lines of its exit vertex and on its
-    # witness; the two cells of an hourglass both slice its exit vertex's
-    # two lines
+    # the two cells of an hourglass both slice its exit vertex's two lines
     t_by_line = [0] * n
     h_by_line = [0] * n
-    unmarked = H = 0
-    for key, ws in groups.items():
-        a, b = divmod(key, n)
-        if type(ws) is int:
-            t_by_line[ws] += 1
+    H = 0
+    for a, b, w0, w1 in zip(*edges.columns()):
+        t_by_line[w0] += 1
+        if w1 < 0:
             cells = 1
-        elif len(ws) == 2:
-            t_by_line[ws[0]] += 1
-            t_by_line[ws[1]] += 1
+        else:
+            t_by_line[w1] += 1
             h_by_line[a] += 1
             h_by_line[b] += 1
             H += 1
             cells = 2
-        else:
-            raise _triple_witness_error(len(ws), key, n)
         t_by_line[a] += cells
         t_by_line[b] += cells
-        unmarked += cells
-    for lines in marked:
-        for src in lines:
+    hull = convex_hull(ps)
+    marked = len(hull) == 3
+    if marked:
+        for src in hull:
             t_by_line[src] += 1
-    T = unmarked + len(marked)
-    exit_count = len(groups)
+    exit_count = len(edges)
+    unmarked = exit_count + H
+    T = unmarked + marked
 
     per_line = tuple(
         LineStats(i, t_by_line[i], h_by_line[i],
@@ -138,7 +143,7 @@ def _stats_and_groups(ps: PointSet) -> tuple[StatsReport, dict[int, int | list[i
         upper_bound=upper,
         sum_x=sum_x,
         verdicts=verdicts,
-    ), groups
+    )
 
 
 # -- crossings and the outer face of the exit graph ------------------

@@ -11,12 +11,12 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    _stats_and_groups,
     compare_exit_structures,
     exit_graph_crossings,
+    exit_graph_stats,
     search_min_exit_edges,
 )
-from .dual import _exit_graph_from_groups, exit_edges_dual
+from .dual import exit_edges_dual
 from .geometry import GeometryError, PointSet
 from .morph import first_collinearity_morph
 from .oracle import exit_edges_bruteforce, exit_edges_via_holes, is_exit_edge_with_witness
@@ -71,10 +71,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_stats(args) -> int:
     ps = _load(args.file)
-    rep, groups = _stats_and_groups(ps)
+    edges = exit_edges_dual(ps)
+    rep = exit_graph_stats(ps, edges)
     if args.json:
-        # the exit edges from the groups of the statistics' scan: one scan
-        edges = _exit_graph_from_groups(groups, len(ps))
         print(render_json(build_report(ps, edges, rep)), end="")
     else:
         print(f"n = {rep.n}")

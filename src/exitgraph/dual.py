@@ -9,23 +9,29 @@ the full cell complex (see arrangement.py for that).
 
 How triangles are found: along each line, its n-1 crossings are cyclically
 ordered (the gap between the last and the first crossing is the arc
-through infinity).  Three lines bound a triangular cell iff on each of
-them the crossings with the other two are cyclically adjacent and the
-number of infinity arcs used is even; an odd count would give a
-non-separating curve, which bounds nothing.
+through infinity).  From four lines on, three lines bound a triangular
+cell iff on each of them the crossings with the other two are
+cyclically adjacent.  The three arcs between those crossings then hold
+no other crossing, and a one-sided closed curve meets every line, so
+the curve they form is two-sided: it bounds the cell.
 
 The crossing orders are exact: ``crossing_tables`` sorts every line's
 crossings on integer keys (``_exact_row``), with no float step;
 ``fastscan.crossing_tables_np`` pre-sorts on floats and re-sorts each
 row it cannot certify with the same ``_exact_row``.
 
-One pure-Python scan, ``_scan_cells``, makes these tests and decides each
-cell's exit vertex and witness; ``dual_triangles`` and ``exit_edges_dual``
-both consume it, and ``analysis.stats_report`` counts from its groups
-(``fastscan.scan_exit_items_np`` is its numpy counterpart for large
-inputs).  Three lines have two crossings each, so their four cells
-cannot be told apart by adjacency: n = 3 is decided by a closed form
-instead, before any scan.
+One pure-Python scan, ``_scan_cells``, makes these tests and yields what
+its numpy counterpart ``fastscan.scan_exit_items_np`` yields: one
+(exit vertex key, witness) item per unmarked cell.  ``_exit_graph``
+groups the items into an ``ExitGraph``, and every other view reads that
+graph: the exit edge ab with the witness w is the unmarked cell on the
+lines a, b and w, and the marked cell, at vertical infinity, is bounded
+by the duals of the convex hull's vertices.  ``exit_edges_dual`` returns
+the graph, ``dual_triangles`` (and through it ``hourglasses`` and the
+dual SVG) derives the cells from it and the hull, and
+``analysis.exit_graph_stats`` counts them.  Three lines have two crossings
+each, so their four cells cannot be told apart by adjacency: n = 3 is
+decided by a closed form instead, before any scan.
 """
 
 from __future__ import annotations
@@ -34,10 +40,9 @@ import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import GeometryError, PointSet, TooFewPointsError, shear_to_generic
+from .geometry import GeometryError, PointSet, TooFewPointsError, convex_hull, shear_to_generic
 from .oracle import ExitEdge
 
 
@@ -116,7 +121,8 @@ def crossing_tables(a: Sequence[int], b: Sequence[int]) -> tuple[list[list[int]]
     """Per-line crossing orders of the lines y = a[i]*x + b[i].
 
     Returns (order, rank): order[i] lists the other lines sorted by the x
-    of their crossing with line i; rank[i][j] is j's position in order[i].
+    of their crossing with line i; rank[i][j] is j's position in order[i],
+    and rank[i][i] = -1, as in fastscan.crossing_tables_np.
     Every row is sorted on the exact integer keys of ``_exact_row``.
     """
     n = len(a)
@@ -134,7 +140,7 @@ def crossing_tables(a: Sequence[int], b: Sequence[int]) -> tuple[list[list[int]]
     rank: list[list[int]] = []
     for i in range(n):
         row = _exact_row(a, qb, i, ids[:i] + ids[i + 1:])
-        ranks = [0] * n
+        ranks = [-1] * n
         # ids[pos], not pos: every rank row shares the n int objects of ids
         for pos, j in enumerate(row):
             ranks[j] = ids[pos]
@@ -168,27 +174,23 @@ class Hourglass:
     shared_exit_vertex: tuple[int, int]
 
 
-# (i, j, k, inf_i, inf_j, inf_k, w): the three lines with i the smallest,
-# whether each line bounds the cell by its arc through infinity, and the
-# witness line w, or -1 for the marked cell
-_Cell = tuple[int, int, int, bool, bool, bool, int]
-
-
-def _scan_cells(order: list[list[int]], rank: list[list[int]]) -> Iterator[_Cell]:
-    """Yield every triangular cell exactly once, from its smallest line i;
-    needs at least 4 lines, so m = n - 1 >= 3 crossings per line.
+def _scan_cells(order: list[list[int]], rank: list[list[int]]) -> Iterator[tuple[int, int]]:
+    """Yield (a*n + b, w) for every unmarked triangular cell, exactly once,
+    from its smallest line i: the exit vertex a < b and the witness line
+    w, as fastscan.scan_exit_items_np does.  Needs at least 4 lines, so
+    m = n - 1 >= 3 crossings per line.
 
     The cell's arc on line i joins its crossing with j to the next one,
-    with k (cyclically: the last gap is the arc through infinity, which
-    ``wrap`` marks).  On line j, the difference d of the ranks of i and k
-    is +-1 for adjacent crossings, +-(m-1) for the two ends of the
-    infinity arc, and anything else for no cell; likewise on line k.
-    Directing each arc along its line (left to right, or through infinity
-    from the rightmost crossing), the arc on i heads at v_ik, and the arc
-    on j heads at v_ij iff i follows k cyclically (d = 1 or 1 - m).  The
-    three heads give the in-degrees of the three vertices: a directed
-    cycle is the marked cell; otherwise the vertex of in-degree 2 is the
-    exit vertex and the third line is the witness.
+    with k (cyclically: the last gap is the arc through infinity).  On
+    line j, the difference d of the ranks of i and k is +-1 for adjacent
+    crossings, +-(m-1) for the two ends of the infinity arc, and anything
+    else for no cell; likewise on line k.  Directing each arc along its
+    line (left to right, or through infinity from the rightmost
+    crossing), the arc on i heads at v_ik, and the arc on j heads at v_ij
+    iff i follows k cyclically (d = 1 or 1 - m).  The three heads give
+    the in-degrees of the three vertices: a directed cycle is the marked
+    cell; otherwise the vertex of in-degree 2 is the exit vertex and the
+    third line is the witness.
     """
     n = len(order)
     m1 = n - 2
@@ -198,8 +200,7 @@ def _scan_cells(order: list[list[int]], rank: list[list[int]]) -> Iterator[_Cell
             j = row[idx]
             if j < i:
                 continue
-            wrap = idx == m1
-            k = row[0] if wrap else row[idx + 1]
+            k = row[idx + 1] if idx < m1 else row[0]
             if k < i:
                 continue
             rj = rank[j]
@@ -210,20 +211,15 @@ def _scan_cells(order: list[list[int]], rank: list[list[int]]) -> Iterator[_Cell
             dk = rk[i] - rk[j]
             if dk != 1 and dk != -1 and dk != m1 and dk != -m1:
                 continue
-            inf_j = dj == m1 or dj == -m1
-            inf_k = dk == m1 or dk == -m1
-            if (wrap + inf_j + inf_k) & 1:
-                # an odd number of infinity arcs bounds nothing; with four
-                # lines or more this never fires, since every other line
-                # crosses such a curve, so one of its arcs is not empty
-                continue
-            hj = dj == 1 or dj == -m1
-            hk = dk == 1 or dk == -m1
-            if hj:
-                w = k if hk else -1
+            # three empty arcs bound a cell: an odd number of infinity arcs
+            # would make a one-sided curve, which every fourth line crosses
+            if dj == 1 or dj == -m1:
+                if dk == 1 or dk == -m1:
+                    yield i * n + j, k
+            elif dk == 1 or dk == -m1:
+                yield (j * n + k if j < k else k * n + j), i
             else:
-                w = i if hk else j
-            yield i, j, k, wrap, inf_j, inf_k, w
+                yield i * n + k, j
 
 
 def _dual_coefficients(ps: PointSet) -> tuple[list[int], list[int]]:
@@ -232,38 +228,55 @@ def _dual_coefficients(ps: PointSet) -> tuple[list[int], list[int]]:
     return [x for x, _ in sheared.int_coords], [-y for _, y in sheared.int_coords]
 
 
-def _cells(a: list[int], b: list[int]) -> Iterable[_Cell]:
-    """Every triangular cell of the lines y = a[i]*x + b[i], n >= 3."""
+def _exit_items(a: list[int], b: list[int]) -> Iterable[tuple[int, int]]:
+    """The (a*n + b, w) item of every unmarked triangular cell of the
+    lines y = a[i]*x + b[i], n >= 3."""
     if len(a) == 3:
-        # three lines cut the projective plane into four triangular cells;
-        # with slopes lo < mid < hi, directing the arcs as _scan_cells does
-        # marks the cell on the infinity arcs of lo and hi, gives the
-        # bounded cell the witness mid, and the cell on the infinity arcs
-        # of mid and x the witness x
+        # three lines cut the projective plane into four triangular cells:
+        # the marked one, and one cell per witness line, on the vertex
+        # where the other two lines cross
         _exact_row(a, _scaled_intercepts(a, b), 0, [1, 2])  # raises if concurrent
-        lo, mid, hi = sorted(range(3), key=a.__getitem__)
-        return [(0, 1, 2, 0 in u, 1 in u, 2 in u, w)
-                for u, w in (({lo, hi}, -1), ((), mid), ({mid, hi}, hi), ({lo, mid}, lo))]
+        return (5, 0), (2, 1), (1, 2)
     return _scan_cells(*crossing_tables(a, b))
+
+
+def _triangle(slope: Sequence[int], lines: Iterable[int], exit_vertex: tuple[int, int] | None,
+              witness: int | None) -> DualTriangle:
+    """The triangular cell on three lines: unmarked with its exit vertex
+    and witness, or the marked cell when both are None."""
+    # with slopes lo < mid < hi, directing the arcs as _scan_cells does
+    # puts the marked cell on the infinity arcs of lo and hi, makes the
+    # cell with the witness mid bounded, and puts the cell with the
+    # witness lo or hi on the infinity arcs of mid and the witness
+    lo, mid, hi = sorted(lines, key=slope.__getitem__)
+    if witness is None:
+        unbounded = lo, hi
+    else:
+        unbounded = () if witness == mid else (mid, witness)
+    i, y, z = lines = tuple(sorted((lo, mid, hi)))
+    return DualTriangle(lines, ((i, y), (i, z), (y, z)), frozenset(unbounded),
+                        witness is None, exit_vertex, witness)
 
 
 def dual_triangles(ps: PointSet) -> list[DualTriangle]:
     """All triangular cells of the dual arrangement of the point set,
-    labeled by primal point indices.  The set is sheared internally."""
+    labeled by primal point indices.  The set is sheared internally.
+
+    Read from the exit graph of the pure-Python scan: each witness w of
+    an exit edge ab is the unmarked cell on the lines a, b and w.  The
+    marked cell, at vertical infinity, is bounded by the duals of the
+    convex hull's vertices, so it is triangular iff the hull has three.
+    """
     if len(ps) < 3:
         raise TooFewPointsError("dual triangle scan needs at least 3 points")
+    a, b = _dual_coefficients(ps)
     tris = []
-    for i, j, k, inf_i, inf_j, inf_k, w in _cells(*_dual_coefficients(ps)):
-        lines = (i, j, k) if j < k else (i, k, j)
-        _, y, z = lines
-        vertices = ((i, y), (i, z), (y, z))
-        unbounded = frozenset(compress((i, j, k), (inf_i, inf_j, inf_k)))
-        if w < 0:
-            tris.append(DualTriangle(lines, vertices, unbounded, True, None, None))
-        else:
-            # the vertex without w; vertices[2 - p] omits lines[p]
-            exit_vertex = vertices[2 - lines.index(w)]
-            tris.append(DualTriangle(lines, vertices, unbounded, False, exit_vertex, w))
+    for x, y, w0, w1 in zip(*_exit_graph(_exit_items(a, b), len(a)).columns()):
+        for w in (w0,) if w1 < 0 else (w0, w1):
+            tris.append(_triangle(a, (x, y, w), (x, y), w))
+    hull = convex_hull(ps)
+    if len(hull) == 3:
+        tris.append(_triangle(a, hull, None, None))
     tris.sort(key=lambda t: (t.lines, sorted(t.unbounded_lines)))
     return tris
 
@@ -340,54 +353,30 @@ def _edge(a: int, b: int, w0: int, w1: int) -> ExitEdge:
     return ExitEdge((a, b), _witness_set(w0, w1))
 
 
-def _triple_witness_error(count: int, key: int, n: int) -> TripleSharedExitVertexError:
-    return TripleSharedExitVertexError(f"{count} witnesses for exit vertex {divmod(key, n)}")
+def _triple_witness_error(key: int, n: int) -> TripleSharedExitVertexError:
+    return TripleSharedExitVertexError(f"more than two witnesses for exit vertex {divmod(key, n)}")
 
 
-def _exit_graph_from_groups(groups: dict[int, int | list[int]], n: int) -> ExitGraph:
-    """The exit graph of the pure-Python scan's groups: exit vertex
-    key = a*n + b has the witness groups[key], or the list groups[key]
-    if it has several."""
+def _exit_graph(items: Iterable[tuple[int, int]], n: int) -> ExitGraph:
+    """The exit graph of the pure-Python scan's items: each unmarked cell
+    gives one (a*n + b, w), its exit vertex key and witness line."""
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    for key, w in items:
+        if first.setdefault(key, w) != w and second.setdefault(key, w) != w:
+            raise _triple_witness_error(key, n)
     cols = array("q"), array("q"), array("q"), array("q")
     put_a, put_b, put_w0, put_w1 = (c.append for c in cols)
-    for key in sorted(groups):
-        ws = groups[key]
-        if type(ws) is int:
-            w0, w1 = ws, -1
-        elif len(ws) == 2:
-            w0, w1 = sorted(ws)
-        else:
-            raise _triple_witness_error(len(ws), key, n)
+    for key in sorted(first):
+        w0, w1 = first[key], second.get(key, -1)
+        if 0 <= w1 < w0:
+            w0, w1 = w1, w0
         a, b = divmod(key, n)
         put_a(a)
         put_b(b)
         put_w0(w0)
         put_w1(w1)
     return ExitGraph(*cols)
-
-
-def _group_cells(a: list[int], b: list[int]) -> tuple[dict[int, int | list[int]],
-                                                      list[tuple[int, int, int]]]:
-    """The witnesses of each exit vertex key = a*n + b (a < b) over the
-    unmarked cells of the pure-Python scan: an int for one witness, a
-    list for several.  Also returns the lines of the marked triangular
-    cells (at most one): the groups and these name every cell's lines."""
-    n = len(a)
-    groups: dict[int, int | list[int]] = {}
-    marked = []
-    for i, j, k, _, _, _, w in _cells(a, b):
-        if w < 0:
-            marked.append((i, j, k))
-        else:
-            key = (j * n + k if j < k else k * n + j) if w == i else i * n + j + k - w
-            ws = groups.get(key)
-            if ws is None:
-                groups[key] = w
-            elif type(ws) is int:
-                groups[key] = [ws, w]
-            else:
-                ws.append(w)
-    return groups, marked
 
 
 # below this size the vectorized path is not worth its setup cost (and
@@ -424,4 +413,4 @@ def exit_edges_dual(ps: PointSet) -> ExitGraph:
 
         if fastscan.coords_are_safe(a, b):
             return _exit_edges_vectorized(a, b, n)
-    return _exit_graph_from_groups(_group_cells(a, b)[0], n)
+    return _exit_graph(_exit_items(a, b), n)

@@ -105,11 +105,8 @@ def _scan_block(order: np.ndarray, flat: np.ndarray, rank_t: np.ndarray, lo: int
     dK = np.take_along_axis(rank_t[lo:hi], NXT, axis=1) - flat[NXT.astype(np.int64) * n + O]
     aJ = np.abs(dJ)
     aK = np.abs(dK)
-    infJ = aJ == m1
-    infK = aK == m1
-    odd = infJ ^ infK
-    odd[:, m1] ^= True  # the wrap is the arc of line i through infinity
-    keep = (infJ | (aJ == 1)) & (infK | (aK == 1)) & (O > I) & (NXT > I) & ~odd
+    # from four lines on, adjacency alone decides (see dual._scan_cells)
+    keep = ((aJ == 1) | (aJ == m1)) & ((aK == 1) | (aK == m1)) & (O > I) & (NXT > I)
     hJ = (dJ == 1) | (dJ == -m1)
     hK = (dK == 1) | (dK == -m1)
     emit = keep & ~(hJ & ~hK)  # drop the marked (cyclic) cell
@@ -143,8 +140,7 @@ def exit_graph_np(uniq: np.ndarray, starts: np.ndarray, counts: np.ndarray,
     ws[starts[t]]."""
     several = np.flatnonzero(counts > 2)
     if len(several):
-        t = several[0]
-        raise _triple_witness_error(int(counts[t]), int(uniq[t]), n)
+        raise _triple_witness_error(int(uniq[several[0]]), n)
     w0 = ws[starts]
     w1 = np.full_like(w0, -1)
     two = np.flatnonzero(counts == 2)

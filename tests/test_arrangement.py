@@ -5,6 +5,7 @@ import pytest
 from exitgraph import (
     DualLine,
     build_arrangement,
+    convex_hull,
     dual_triangles,
     dualize,
     line_triangle_counts,
@@ -16,7 +17,7 @@ from exitgraph import (
     triangular_cells,
     crossing_halfplane_has_private_triangle,
 )
-from conftest import random_sets
+from conftest import KINDS, mixed_sets, random_sets
 
 
 def _dual_arrangement(ps):
@@ -86,6 +87,23 @@ def test_marked_cell_is_unique_consistent_cell():
         consistent = [c.index for c in arr.cells if c.consistently_oriented()]
         assert consistent == [marked_cell(arr)]
         assert marked_cell_by_orientation(arr) == marked_cell(arr)
+
+
+def test_marked_cell_lies_on_the_hull_lines():
+    # dual_triangles and stats_report take the marked cell from the hull:
+    # its lines are the duals of the hull's vertices, one side each
+    kinds = dict.fromkeys(KINDS, 0)
+    hull_sizes = set()
+    for kind, ps in mixed_sets(90, 3, 14, seed=4242):
+        arr = _dual_arrangement(ps)
+        hull = convex_hull(ps)
+        marked = arr.cells[marked_cell(arr)]
+        assert arr.cell_lines(marked) == set(hull)
+        assert marked.side_count == len(hull)
+        kinds[kind] += 1
+        hull_sizes.add(len(hull))
+    assert all(v == 30 for v in kinds.values())
+    assert {3, 4, 5, 6} <= hull_sizes
 
 
 def test_full_complex_matches_fast_scan():

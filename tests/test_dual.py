@@ -17,12 +17,12 @@ from exitgraph import (
     exit_edges_bruteforce,
     exit_edges_dual,
     hourglasses,
-    shear_to_generic,
     trusted_point_set,
 )
 from exitgraph import dual, fastscan
-from exitgraph.dual import DualTriangle, _exit_edges_vectorized, crossing_tables
+from exitgraph.dual import _exit_edges_vectorized, crossing_tables
 from conftest import KINDS, mixed_sets, random_sets
+from reference_cells import dual_coefficients, dual_triangles_reference
 
 
 def test_dualize_formula():
@@ -63,7 +63,6 @@ def _assert_exact_tables(a, b):
         assert [rank[i][j] for j in order[i]] == list(range(n - 1))
     if fastscan.coords_are_safe(a, b):
         order_np, rank_np = fastscan.crossing_tables_np(a, b)
-        np.fill_diagonal(rank_np, 0)  # the Python tables leave rank[i][i] at 0
         assert order_np.tolist() == order
         assert rank_np.tolist() == rank
 
@@ -71,16 +70,16 @@ def _assert_exact_tables(a, b):
 def test_crossing_tables_order_is_exact():
     _assert_exact_tables([0, 1, 2, 5], [0, -3, 1, 2])
     for _, ps in mixed_sets(12, 4, 24, seed=8088):
-        _assert_exact_tables(*_dual_coefficients(ps))
-    _assert_exact_tables(*_dual_coefficients(trusted_point_set(_NEAR_TIES)))
+        _assert_exact_tables(*dual_coefficients(ps))
+    _assert_exact_tables(*dual_coefficients(trusted_point_set(_NEAR_TIES)))
     # past the float range: a float key of these crossings overflows
     ps = next(iter(random_sets(1, 12, 12, seed=1100)))
     scale = 1 << 1100
-    _assert_exact_tables(*_dual_coefficients(
+    _assert_exact_tables(*dual_coefficients(
         trusted_point_set([(p.x * scale, p.y * scale) for p in ps.points])))
     # integer grids from 64 points on: sheared sets on the numpy path
     for _, ps in mixed_sets(3, 64, 80, seed=6480, kinds=("int",)):
-        a, b = _dual_coefficients(ps)
+        a, b = dual_coefficients(ps)
         assert fastscan.coords_are_safe(a, b)
         _assert_exact_tables(a, b)
 
@@ -134,16 +133,11 @@ def test_exit_vertex_maps_back_to_edge_lines():
             assert t.exit_vertex in t.vertices
 
 
-def _dual_coefficients(ps):
-    sheared, _ = shear_to_generic(ps)
-    return [c[0] for c in sheared.int_coords], [-c[1] for c in sheared.int_coords]
-
-
 def test_vectorized_path_matches_python_path(monkeypatch):
     monkeypatch.setattr(dual, "_VECTOR_THRESHOLD", 10 ** 9)  # exit_edges_dual scans in Python
     for seed, n in ((1, 70), (2, 90)):
         ps = next(iter(random_sets(1, n, n, seed=seed)))
-        a, b = _dual_coefficients(ps)
+        a, b = dual_coefficients(ps)
         assert exit_edges_dual(ps) == _exit_edges_vectorized(a, b, n)
 
 
@@ -152,7 +146,7 @@ def test_vectorized_path_matches_bruteforce_on_small_sets():
     # slow; its case analysis does not depend on n from 4 lines on
     sizes = set()
     for ps in random_sets(1000, 4, 12, seed=2525):
-        a, b = _dual_coefficients(ps)
+        a, b = dual_coefficients(ps)
         assert _exit_edges_vectorized(a, b, len(ps)) == exit_edges_bruteforce(ps)
         sizes.add(len(ps))
     assert sizes == set(range(4, 13))
@@ -162,13 +156,13 @@ def test_blocked_tables_and_scan_match_one_block(monkeypatch):
     # the numpy tables and scan run over blocks of rows; blocks of one
     # row, and blocks that leave a remainder, give the same tables and edges
     for ps in random_sets(60, 4, 12, seed=3300):
-        a, b = _dual_coefficients(ps)
+        a, b = dual_coefficients(ps)
         with monkeypatch.context() as m:
             m.setattr(fastscan, "_BLOCK_SLOTS", 1)
             assert _exit_edges_vectorized(a, b, len(ps)) == exit_edges_bruteforce(ps)
     for n in (64, 75, 100):
         ps = next(iter(random_sets(1, n, n, seed=3300 + n)))
-        a, b = _dual_coefficients(ps)
+        a, b = dual_coefficients(ps)
         order, rank = fastscan.crossing_tables_np(a, b)
         with monkeypatch.context() as m:
             m.setattr(dual, "_VECTOR_THRESHOLD", 10 ** 9)  # the pure-Python scan
@@ -196,7 +190,7 @@ def test_exit_edge_builder_refuses_three_witnesses():
     # each backend fills its columns in one builder; in general position
     # no exit vertex gathers three witnesses
     expected = (ExitEdge((0, 1), frozenset({2, 3})), ExitEdge((1, 2), frozenset({0})))
-    python = dual._exit_graph_from_groups({6: 0, 1: [3, 2]}, 4)
+    python = dual._exit_graph([(6, 0), (1, 3), (1, 2)], 4)
     keys, wits = np.array([6, 1, 1], dtype=np.int64), np.array([0, 3, 2], dtype=np.int32)
     vectorized = fastscan.exit_graph_np(*fastscan.group_exit_items_np(keys, wits), 4)
     for graph in (python, vectorized):
@@ -204,7 +198,7 @@ def test_exit_edge_builder_refuses_three_witnesses():
         assert [c.tolist() for c in (graph.a, graph.b, graph.w0, graph.w1)] == [
             [0, 1], [1, 2], [2, 0], [3, -1]]
     with pytest.raises(TripleSharedExitVertexError):
-        dual._exit_graph_from_groups({1: [2, 3, 4]}, 5)
+        dual._exit_graph([(1, 2), (1, 3), (1, 4)], 5)
     keys, wits = np.array([1, 1, 1], dtype=np.int64), np.array([2, 3, 4], dtype=np.int32)
     with pytest.raises(TripleSharedExitVertexError):
         fastscan.exit_graph_np(*fastscan.group_exit_items_np(keys, wits), 5)
@@ -227,9 +221,12 @@ def _exit_edge_tuple(keys, witnesses, n):
 
 
 def _reference_python(a, b):
-    groups, _ = dual._group_cells(a, b)
+    groups = {}
+    for key, w in dual._exit_items(a, b):
+        groups.setdefault(key, []).append(w)
     keys = sorted(groups)
-    return _exit_edge_tuple(keys, map(groups.__getitem__, keys), len(a))
+    return _exit_edge_tuple(keys, [ws[0] if len(ws) == 1 else ws for ws in map(groups.get, keys)],
+                            len(a))
 
 
 def _reference_vectorized(a, b):
@@ -265,7 +262,7 @@ def _assert_same_edges(graph, ref):
 def test_exit_graph_matches_tuple_builder_on_both_backends(monkeypatch):
     backends = {"python": 0, "numpy": 0}
     for _, ps in mixed_sets(150, 3, 14, seed=3030):
-        a, b = _dual_coefficients(ps)
+        a, b = dual_coefficients(ps)
         _assert_same_edges(exit_edges_dual(ps), _reference_python(a, b))
         backends["python"] += 1
         if fastscan.coords_are_safe(a, b):
@@ -276,7 +273,7 @@ def test_exit_graph_matches_tuple_builder_on_both_backends(monkeypatch):
 
     for n in range(64, 101):
         ps = next(iter(random_sets(1, n, n, seed=3100 + n)))
-        a, b = _dual_coefficients(ps)
+        a, b = dual_coefficients(ps)
         vectorized = exit_edges_dual(ps)
         assert isinstance(vectorized.a, np.ndarray)
         _assert_same_edges(vectorized, _reference_vectorized(a, b))
@@ -311,101 +308,13 @@ def test_exit_graph_differs_from_tuple_with_one_witness_changed(monkeypatch):
         assert graph == ExitGraph(*(array("q", c) for c in graph.columns()))
 
 
-def _directed_arcs(rank, m, i, j, k, inf_i, inf_j, inf_k):
-    """The three boundary arcs directed along their lines.
-
-    Bounded arcs run left to right; the infinity arc runs from the
-    rightmost crossing through infinity to the leftmost one.
-    """
-    def arc(x, u, v, through_inf):
-        if through_inf:
-            return (x, u, v) if rank[x][u] == m - 1 else (x, v, u)
-        return (x, u, v) if rank[x][u] < rank[x][v] else (x, v, u)
-
-    return arc(i, j, k, inf_i), arc(j, i, k, inf_j), arc(k, i, j, inf_k)
-
-
-def _assemble(rank, m, i, j, k, inf_i, inf_j, inf_k):
-    arcs = _directed_arcs(rank, m, i, j, k, inf_i, inf_j, inf_k)
-    indeg = {}
-    for x, t, h in arcs:
-        tail = (x, t) if x < t else (t, x)
-        head = (x, h) if x < h else (h, x)
-        indeg.setdefault(tail, 0)
-        indeg[head] = indeg.get(head, 0) + 1
-    lines = tuple(sorted((i, j, k)))
-    verts = tuple(sorted(indeg))
-    unbounded = frozenset(
-        x for x, flag in ((i, inf_i), (j, inf_j), (k, inf_k)) if flag)
-    if sorted(indeg.values()) == [1, 1, 1]:
-        return DualTriangle(lines, verts, unbounded, True, None, None)
-    exit_pair = next(v for v, d in indeg.items() if d == 1)
-    witness = next(l for l in lines if l not in exit_pair)
-    return DualTriangle(lines, verts, unbounded, False, exit_pair, witness)
-
-
-def _scan_triangles(order, rank):
-    """Yield every triangular cell exactly once (from its smallest line)."""
-    n = len(order)
-    m = n - 1
-    if m == 2:
-        # two crossings per line: both arcs between them are empty, so
-        # enumerate arc-type combinations explicitly
-        i, row = 0, order[0]
-        for idx in range(m):
-            j = row[idx]
-            wrap = idx == m - 1
-            k = row[0] if wrap else row[idx + 1]
-            for inf_j in (False, True):
-                for inf_k in (False, True):
-                    if (wrap + inf_j + inf_k) % 2 == 0:
-                        yield _assemble(rank, m, i, j, k, wrap, inf_j, inf_k)
-        return
-    m1 = m - 1
-    for i in range(n):
-        row = order[i]
-        for idx in range(m):
-            j = row[idx]
-            if j < i:
-                continue
-            wrap = idx == m1
-            k = row[0] if wrap else row[idx + 1]
-            if k < i:
-                continue
-            rji, rjk = rank[j][i], rank[j][k]
-            if abs(rji - rjk) == 1:
-                inf_j = False
-            elif (rji == 0 and rjk == m1) or (rjk == 0 and rji == m1):
-                inf_j = True
-            else:
-                continue
-            rki, rkj = rank[k][i], rank[k][j]
-            if abs(rki - rkj) == 1:
-                inf_k = False
-            elif (rki == 0 and rkj == m1) or (rkj == 0 and rki == m1):
-                inf_k = True
-            else:
-                continue
-            if (wrap + inf_j + inf_k) % 2 == 0:
-                yield _assemble(rank, m, i, j, k, wrap, inf_j, inf_k)
-
-
-def _dual_triangles_reference(ps):
-    """The triangle scan dual_triangles once ran: each cell's three arcs
-    directed along their lines, and the cell built from the in-degrees
-    of its vertices."""
-    tris = list(_scan_triangles(*crossing_tables(*_dual_coefficients(ps))))
-    tris.sort(key=lambda t: (t.lines, sorted(t.unbounded_lines)))
-    return tris
-
-
 def test_dual_triangles_match_reference(triangle, unit_square, six_points):
     for ps in (triangle, unit_square, six_points):
-        assert dual_triangles(ps) == _dual_triangles_reference(ps)
+        assert dual_triangles(ps) == dual_triangles_reference(ps)
     kinds = dict.fromkeys(KINDS, 0)
     sizes = set()
     for kind, ps in mixed_sets(300, 3, 14, seed=2626):
-        assert dual_triangles(ps) == _dual_triangles_reference(ps)
+        assert dual_triangles(ps) == dual_triangles_reference(ps)
         kinds[kind] += 1
         sizes.add(len(ps))
     assert all(v == 100 for v in kinds.values())
@@ -420,7 +329,7 @@ def test_three_points_take_the_closed_form(monkeypatch):
     count = 0
     for _, ps in mixed_sets(240, 3, 3, seed=2727):
         assert exit_edges_dual(ps) == exit_edges_bruteforce(ps)
-        assert dual_triangles(ps) == _dual_triangles_reference(ps)
+        assert dual_triangles(ps) == dual_triangles_reference(ps)
         count += 1
     assert count == 240
 
@@ -474,6 +383,6 @@ def test_vectorized_exact_resort_of_a_failed_row(monkeypatch):
         return exact_row(a, qb, i, row)
 
     monkeypatch.setattr(fastscan, "_exact_row", spy)
-    a, b = _dual_coefficients(ps)
+    a, b = dual_coefficients(ps)
     assert _exit_edges_vectorized(a, b, len(ps)) == exit_edges_bruteforce(ps)
     assert 0 in resorted
