@@ -14,6 +14,7 @@ from functools import cmp_to_key
 from math import gcd
 
 from .dual import (
+    ConcurrentLinesError,
     ExitGraph,
     _dual_coefficients,
     _exit_graph,
@@ -23,12 +24,12 @@ from .dual import (
 )
 from .geometry import (
     CollinearTripleError,
-    DuplicatePointError,
     PointSet,
     SizeMismatchError,
     TooFewPointsError,
     certify_general_position,
     convex_hull,
+    trusted_point_set,
     turn,
 )
 
@@ -428,27 +429,42 @@ def compare_exit_structures(s: PointSet, t: PointSet) -> ExitStructureComparison
 
 # -- randomized search ------------------------------------------------
 
+def _first_accepted(n: int, rng: random.Random, span: int, accept):
+    """accept(points) for the first set of n distinct integer points, drawn
+    uniformly from [0, span]^2 and sorted, on which accept raises neither
+    CollinearTripleError nor ConcurrentLinesError."""
+    while True:
+        pts: set[tuple[int, int]] = set()
+        while len(pts) < n:
+            pts.add((rng.randint(0, span), rng.randint(0, span)))
+        try:
+            return accept(sorted(pts))
+        except (CollinearTripleError, ConcurrentLinesError):
+            continue
+
+
 def random_general_position(n: int, rng: random.Random,
                             span: int | None = None) -> PointSet:
     """A certified set of n integer points drawn uniformly from a square
     of side 4n^2, rejection-sampled until in general position."""
     if span is None:
         span = 4 * n * n
-    while True:
-        pts: set[tuple[int, int]] = set()
-        while len(pts) < n:
-            pts.add((rng.randint(0, span), rng.randint(0, span)))
-        try:
-            return certify_general_position(sorted(pts))
-        except (DuplicatePointError, CollinearTripleError):
-            continue
+    return _first_accepted(n, rng, span, certify_general_position)
+
+
+def _scanned(points: list[tuple[int, int]]) -> tuple[PointSet, ExitGraph]:
+    ps = trusted_point_set(points)
+    return ps, exit_edges_dual(ps)
 
 
 def search_min_exit_edges(n: int, trials: int, seed: int) -> tuple[PointSet, int]:
     """Seeded random search for point sets with few exit edges.
 
-    Returns the first set attaining the minimum count over the trials;
-    deterministic for a fixed seed.
+    Each trial draws the set that random_general_position draws from the
+    same rng state.  The exact dual scan certifies it: its crossing
+    tables tie iff three points are collinear, and a tie redraws, so no
+    separate certification pass runs.  Returns the first set attaining
+    the minimum count over the trials; deterministic for a fixed seed.
     """
     if n < 4:
         raise TooFewPointsError("search needs n >= 4")
@@ -458,8 +474,8 @@ def search_min_exit_edges(n: int, trials: int, seed: int) -> tuple[PointSet, int
     best_ps: PointSet | None = None
     best_count: int | None = None
     for _ in range(trials):
-        ps = random_general_position(n, rng)
-        count = len(exit_edges_dual(ps))
+        ps, edges = _first_accepted(n, rng, 4 * n * n, _scanned)
+        count = len(edges)
         if best_count is None or count < best_count:
             best_ps, best_count = ps, count
     assert best_ps is not None and best_count is not None

@@ -2,6 +2,17 @@
 
 Exit codes: 0 on success, 1 on input or usage errors, 2 when a verified
 property fails to hold (method disagreement or a violated bound).
+
+Every point file must hold distinct points, no three collinear.  The
+one-file commands whose first geometric step is the dual scan
+(``compute``, ``stats``, ``crossings``, ``render`` and ``check``) let
+the scan certify that: its exact crossing tables tie exactly when three
+dual lines meet, that is when three points are collinear, so a second
+O(n^2) pass up front would only repeat it.  Only once the scan has hit a
+tie does ``certify_general_position`` run, to name the lexicographically
+first collinear triple; duplicates are refused before the scan.  The
+error is thus the one that ``parse_points`` gives, which ``compare`` and
+``morph`` still call up front.
 """
 
 from __future__ import annotations
@@ -16,8 +27,14 @@ from .analysis import (
     exit_graph_stats,
     search_min_exit_edges,
 )
-from .dual import exit_edges_dual
-from .geometry import GeometryError, PointSet
+from .dual import ConcurrentLinesError, exit_edges_dual
+from .geometry import (
+    GeometryError,
+    Point,
+    PointSet,
+    certify_general_position,
+    trusted_point_set,
+)
 from .morph import first_collinearity_morph
 from .oracle import exit_edges_bruteforce, exit_edges_via_holes, is_exit_edge_with_witness
 from .pointfile import parse_point_list, parse_points, serialize_points
@@ -35,6 +52,26 @@ def _load(path: str) -> PointSet:
     return parse_points(Path(path).read_text(encoding="utf-8"))
 
 
+def _points(path: str) -> list[Point]:
+    return parse_point_list(Path(path).read_text(encoding="utf-8"))
+
+
+def _scan(points: list[Point], scan):
+    """(ps, scan(ps)) for the PointSet ps of points, certified by the
+    exact dual scan that scan runs first.
+
+    Raises DuplicatePointError for the first coinciding pair, and on a
+    tie of the scan CollinearTripleError for the first collinear triple:
+    the errors that certify_general_position raises up front.
+    """
+    ps = trusted_point_set(points)
+    try:
+        return ps, scan(ps)
+    except ConcurrentLinesError:
+        certify_general_position(ps.points)
+        raise
+
+
 def _format_edges(edges) -> str:
     body = "; ".join(str(e) for e in edges)
     plural = "s" if len(edges) != 1 else ""
@@ -42,8 +79,7 @@ def _format_edges(edges) -> str:
 
 
 def _cmd_compute(args) -> int:
-    ps = _load(args.file)
-    edges = exit_edges_dual(ps)
+    ps, edges = _scan(_points(args.file), exit_edges_dual)
     if args.json:
         print(render_json(build_report(ps, edges)), end="")
     else:
@@ -52,13 +88,13 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    ps = _load(args.file)
-    if len(ps) > CHECK_MAX_POINTS:
+    points = _points(args.file)
+    if len(points) > CHECK_MAX_POINTS:
         print(f"error: check runs two O(n^4) oracles and takes at most {CHECK_MAX_POINTS} "
-              f"points, not {len(ps)}; use 'exitgraph compute' for larger sets",
+              f"points, not {len(points)}; use 'exitgraph compute' for larger sets",
               file=sys.stderr)
         return INPUT_ERROR
-    dual = exit_edges_dual(ps)
+    ps, dual = _scan(points, exit_edges_dual)
     brute = exit_edges_bruteforce(ps)
     hole_pairs = exit_edges_via_holes(ps)
     dual_matches = dual == brute
@@ -70,8 +106,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    ps = _load(args.file)
-    edges = exit_edges_dual(ps)
+    ps, edges = _scan(_points(args.file), exit_edges_dual)
     rep = exit_graph_stats(ps, edges)
     if args.json:
         print(render_json(build_report(ps, edges, rep)), end="")
@@ -88,16 +123,16 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    ps = _load(args.file)
     mode = "dual" if args.dual else "primal"
-    Path(args.out).write_text(render_svg(ps, mode), encoding="utf-8")
+    _, svg = _scan(_points(args.file), lambda ps: render_svg(ps, mode))
+    Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {mode} figure to {args.out}")
     return OK
 
 
 def _cmd_morph(args) -> int:
     ps0 = _load(args.file_a)
-    target = parse_point_list(Path(args.file_b).read_text(encoding="utf-8"))
+    target = _points(args.file_b)
     event = first_collinearity_morph(ps0, target)
     if event is None:
         print("no collinearity event in (0, 1]")
@@ -142,8 +177,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
-    ps = _load(args.file)
-    print(f"{exit_graph_crossings(ps)} proper crossings among exit edges")
+    _, count = _scan(_points(args.file), exit_graph_crossings)
+    print(f"{count} proper crossings among exit edges")
     return OK
 
 

@@ -200,8 +200,9 @@ def trusted_point_set(points: Iterable) -> PointSet:
     """Build a PointSet checking only distinctness, not collinearity.
 
     Meant for inputs already known to be in general position (shears of
-    certified sets, large benchmark inputs whose degeneracies are caught
-    downstream by the arrangement builder).
+    certified sets), and for inputs whose collinear triples are caught
+    downstream: exit_edges_dual raises ConcurrentLinesError on exactly
+    those sets, which the CLI's scan commands and the search rely on.
     """
     pts = [_as_point(p) for p in points]
     dup = _first_duplicate(pts)

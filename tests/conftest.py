@@ -71,3 +71,28 @@ def mixed_sets(count, n_lo, n_hi, seed, kinds=KINDS):
                 break
             except (CollinearTripleError, DuplicatePointError):
                 continue
+
+
+def grid_sets(ns, seed, scale=1):
+    """Seeded lists of n distinct integer points, neither certified nor
+    redrawn, three per n in ns: "dense" on a grid of side n (collinear
+    triples nearly always), "wide" on a grid of side 4n^2 (rarely), and
+    "planted", a wide draw with a third point put on the line through
+    two others.  The labels are shuffled, so a collinear triple can sit
+    anywhere; every coordinate is multiplied by scale."""
+    rng = random.Random(seed)
+    for n in ns:
+        for kind in ("dense", "wide", "planted"):
+            side = n if kind == "dense" else 4 * n * n
+            drawn: set[tuple[int, int]] = set()
+            while len(drawn) < n:
+                drawn.add((rng.randint(0, side), rng.randint(0, side)))
+            pts = sorted(drawn)
+            rng.shuffle(pts)
+            if kind == "planted":
+                (x0, y0), (x1, y1) = pts[0], pts[1]
+                third = (2 * x1 - x0, 2 * y1 - y0)
+                if third not in drawn:  # else the three are collinear already
+                    pts[2] = third
+                rng.shuffle(pts)
+            yield kind, [(x * scale, y * scale) for x, y in pts]

@@ -9,6 +9,7 @@ import pytest
 
 import exitgraph
 from exitgraph import (
+    CollinearTripleError,
     SizeMismatchError,
     TooFewPointsError,
     certify_general_position,
@@ -350,6 +351,36 @@ def test_search_deterministic_and_bounded():
     b = search_min_exit_edges(9, 8, seed=5)
     assert a[0].points == b[0].points and a[1] == b[1]
     assert a[1] >= 4  # ceil((3*9 - 7)/5)
+
+
+def _search_reference(n, trials, seed):
+    """The search as it ran with random_general_position's certifying
+    loop, and the number of drawn sets that certification refused."""
+    rng = random.Random(seed)
+    best, redraws = None, 0
+    for _ in range(trials):
+        while True:
+            pts = set()
+            while len(pts) < n:
+                pts.add((rng.randint(0, 4 * n * n), rng.randint(0, 4 * n * n)))
+            try:
+                ps = certify_general_position(sorted(pts))
+                break
+            except CollinearTripleError:
+                redraws += 1
+        count = len(exit_edges_dual(ps))
+        if best is None or count < best[1]:
+            best = ps, count
+    return best, redraws
+
+
+@pytest.mark.parametrize("n, trials, seed", [(5, 10, 3), (7, 10, 11), (9, 10, 55), (64, 2, 0)])
+def test_search_redraws_the_sets_that_certification_refuses(n, trials, seed):
+    # the scan, not a certification pass, refuses the collinear draws
+    (ps, count), redraws = _search_reference(n, trials, seed)
+    assert redraws >= 1
+    got_ps, got_count = search_min_exit_edges(n, trials, seed)
+    assert got_ps.points == ps.points and got_count == count
 
 
 def test_search_four_points_reaches_two():

@@ -9,6 +9,8 @@ import pytest
 
 import exitgraph
 from exitgraph import (
+    GeometryError,
+    certify_general_position,
     exit_edges_bruteforce,
     first_collinearity_morph,
     point,
@@ -16,6 +18,7 @@ from exitgraph import (
     serialize_points,
 )
 from exitgraph.cli import cli
+from conftest import grid_sets
 
 
 @pytest.fixture
@@ -74,7 +77,8 @@ def test_check_refuses_more_than_80_points_up_front(tmp_path, capsys, monkeypatc
     def unreachable(ps):
         raise AssertionError("check ran a method on a refused input")
 
-    for name in ("exit_edges_dual", "exit_edges_bruteforce", "exit_edges_via_holes"):
+    for name in ("certify_general_position", "exit_edges_dual", "exit_edges_bruteforce",
+                 "exit_edges_via_holes"):
         monkeypatch.setattr(climod, name, unreachable)
     f = tmp_path / "pts.txt"
     f.write_text(serialize_points(random_general_position(81, random.Random(81))))
@@ -85,6 +89,13 @@ def test_check_refuses_more_than_80_points_up_front(tmp_path, capsys, monkeypatc
     assert "exitgraph compute" in captured.err
 
 
+def test_check_refuses_a_large_degenerate_file_by_its_size(tmp_path, capsys):
+    f = tmp_path / "pts.txt"
+    f.write_text("".join(f"{k} {k}\n" for k in range(200)) + "0 0\n")
+    assert cli(["check", str(f)]) == 1
+    assert "at most 80 points, not 201" in capsys.readouterr().err
+
+
 def test_check_accepts_80_points(tmp_path, capsys):
     ps = random_general_position(80, random.Random(80))
     f = tmp_path / "pts.txt"
@@ -93,6 +104,62 @@ def test_check_accepts_80_points(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "brute force agrees: yes" in out
     assert "4-hole test agrees: yes" in out
+
+
+def _scan_corpus():
+    """grid_sets files with and without collinear triples, on both scan
+    backends and the big-coordinate path, plus duplicates and 1-2 points."""
+    sets = [*grid_sets(range(3, 13), seed=31), *grid_sets((64, 77, 90), seed=32),
+            *grid_sets((64, 90), seed=33, scale=1 << 40)]
+    yield from sets
+    for kind, pts in sets[::4]:
+        yield "duplicate", pts + [pts[len(pts) // 2]]
+    yield from [("one", [(5, 7)]), ("two", [(5, 7), (1, 2)]), ("two equal", [(5, 7), (5, 7)])]
+
+
+_SCAN_COMMANDS = (["compute"], ["compute", "--json"], ["stats"], ["crossings"],
+                  ["render"], ["render", "--dual"])
+
+
+def _certify_first(points, scan):
+    # what the scan commands ran before the scan certified their input
+    ps = certify_general_position(points)
+    return ps, scan(ps)
+
+
+def test_scan_commands_certify_as_parse_points_does(tmp_path, capsys, monkeypatch):
+    import exitgraph.cli as climod
+
+    f, svg = tmp_path / "pts.txt", tmp_path / "fig.svg"
+
+    def run(argv):
+        svg.unlink(missing_ok=True)
+        rc = cli(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err, svg.read_bytes() if svg.exists() else None
+
+    refused = accepted = 0
+    for kind, pts in _scan_corpus():
+        f.write_text("".join(f"{x} {y}\n" for x, y in pts))
+        try:
+            certify_general_position(pts)
+            error = None
+        except GeometryError as err:
+            error = err
+        for command in _SCAN_COMMANDS:
+            argv = [command[0], str(f), *command[1:]]
+            if command[0] == "render":
+                argv += ["--out", str(svg)]
+            got = run(argv)
+            if error is not None:
+                assert got == (1, "", f"error: {error}\n", None), (kind, argv)
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(climod, "_scan", _certify_first)
+                assert got == run(argv), (kind, argv)
+        refused += error is not None
+        accepted += error is None
+    assert refused >= 30 and accepted >= 15, (refused, accepted)
 
 
 def test_stats_square(square_file, capsys):

@@ -1,11 +1,13 @@
 import random
 from array import array
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from exitgraph import (
+    CollinearTripleError,
     ConcurrentLinesError,
     ExitEdge,
     ExitGraph,
@@ -21,7 +23,7 @@ from exitgraph import (
 )
 from exitgraph import dual, fastscan
 from exitgraph.dual import _exit_edges_vectorized, crossing_tables
-from conftest import KINDS, mixed_sets, random_sets
+from conftest import KINDS, grid_sets, mixed_sets, random_sets
 from reference_cells import dual_coefficients, dual_triangles_reference
 
 
@@ -341,6 +343,34 @@ def test_dual_path_flags_collinear_input():
             exit_edges_dual(bad)
         with pytest.raises(ConcurrentLinesError):
             dual_triangles(bad)
+
+
+@pytest.mark.parametrize("ns, scale, vectorized, seed", [
+    (range(3, 13), 1, False, 11),
+    (range(64, 91), 1, True, 12),
+    (range(64, 91, 2), 1 << 40, False, 13),  # past MAX_SAFE_COORD: the big-coordinate path
+])
+def test_dual_scan_ties_iff_certification_finds_a_collinear_triple(ns, scale, vectorized, seed):
+    # the scan's crossing tables are the general-position certificate
+    # that the CLI and the search rely on
+    seen = Counter()
+    for kind, pts in grid_sets(ns, seed, scale):
+        ps = trusted_point_set(pts)
+        assert (len(ps) >= dual._VECTOR_THRESHOLD
+                and fastscan.coords_are_safe(*dual._dual_coefficients(ps))) == vectorized
+        try:
+            certify_general_position(pts)
+            collinear = False
+        except CollinearTripleError:
+            collinear = True
+        try:
+            exit_edges_dual(ps)
+            tied = False
+        except ConcurrentLinesError:
+            tied = True
+        assert tied == collinear, (kind, pts)
+        seen[collinear] += 1
+    assert seen[True] >= len(ns) and seen[False] >= len(ns) // 2, seen
 
 
 def test_vectorized_path_detects_concurrency():
