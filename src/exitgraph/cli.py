@@ -27,7 +27,7 @@ from .analysis import (
     exit_graph_stats,
     search_min_exit_edges,
 )
-from .dual import ConcurrentLinesError, exit_edges_dual
+from .dual import ConcurrentLinesError, ExitGraph, exit_edges_dual
 from .geometry import (
     GeometryError,
     Point,
@@ -38,7 +38,7 @@ from .geometry import (
 from .morph import first_collinearity_morph
 from .oracle import exit_edges_bruteforce, exit_edges_via_holes, is_exit_edge_with_witness
 from .pointfile import parse_point_list, parse_points, serialize_points
-from .report import build_report, render_json
+from .report import build_report, edge_rows, render_json
 from .svg import render_svg
 
 OK, INPUT_ERROR, PROPERTY_VIOLATION = 0, 1, 2
@@ -72,8 +72,10 @@ def _scan(points: list[Point], scan):
         raise
 
 
-def _format_edges(edges) -> str:
-    body = "; ".join(str(e) for e in edges)
+def _format_edges(edges: ExitGraph, n: int) -> str:
+    """The line "E exit edges: " followed by every edge as ExitEdge's
+    str writes it, "{a,b} witnesses {w0,w1}", joined by "; "."""
+    body = edge_rows(edges, n, "{%d,%d} witnesses {%d,%d}", "; ")
     plural = "s" if len(edges) != 1 else ""
     return f"{len(edges)} exit edge{plural}: {body}"
 
@@ -83,7 +85,7 @@ def _cmd_compute(args) -> int:
     if args.json:
         print(render_json(build_report(ps, edges)), end="")
     else:
-        print(_format_edges(edges))
+        print(_format_edges(edges, len(ps)))
     return OK
 
 
@@ -99,7 +101,7 @@ def _cmd_check(args) -> int:
     hole_pairs = exit_edges_via_holes(ps)
     dual_matches = dual == brute
     holes_match = frozenset(e.endpoints for e in brute) == hole_pairs
-    print(f"dual method:        {_format_edges(dual)}")
+    print(f"dual method:        {_format_edges(dual, len(ps))}")
     print(f"brute force agrees: {'yes' if dual_matches else 'NO'}")
     print(f"4-hole test agrees: {'yes' if holes_match else 'NO'}")
     return OK if dual_matches and holes_match else PROPERTY_VIOLATION

@@ -19,6 +19,15 @@ class PointSyntaxError(GeometryError):
         self.line_number = line_number
 
 
+def _coordinate(token: str) -> int | Fraction:
+    """int(token) for an ASCII integer, an optional "-" and digits;
+    Fraction(token), the slower general parse, for every other token."""
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isascii() and digits.isdigit():
+        return int(token)
+    return Fraction(token)
+
+
 def parse_point_list(text: str) -> list[Point]:
     """Parse coordinates only; no certification (morph targets may be
     arbitrary positions)."""
@@ -35,7 +44,7 @@ def parse_point_list(text: str) -> list[Point]:
             raise PointSyntaxError(
                 lineno, f"exponent notation is not accepted: {line!r}")
         try:
-            x, y = Fraction(parts[0]), Fraction(parts[1])
+            x, y = _coordinate(parts[0]), _coordinate(parts[1])
         except (ValueError, ZeroDivisionError) as err:
             raise PointSyntaxError(lineno, str(err)) from None
         pts.append(Point(x, y))

@@ -33,7 +33,7 @@ def build_report(ps: PointSet, edges: ExitGraph,
     doc = {
         "schema": SCHEMA_VERSION,
         "n": len(ps),
-        "points": [[_frac(p.x), _frac(p.y)] for p in ps.points],
+        "points": [[format_coordinate(p.x), format_coordinate(p.y)] for p in ps.points],
         "exit_edges": edges,
     }
     if stats is not None:
@@ -54,18 +54,44 @@ def build_report(ps: PointSet, edges: ExitGraph,
     return doc
 
 
+def edge_rows(edges: ExitGraph, n: int, template: str, sep: str) -> str:
+    """The rows of edges joined by sep, each row the template, with its
+    four ``%d`` filled by a, b, w0 and w1; a row with one witness drops
+    the last ``%d`` and the text between it and the third.
+
+    Every row is fixed text around labels in 0..n-1, so the rows are
+    gathered from four tables built once per label, not formatted one by
+    one: ``pa[a]`` holds sep, the row head and a, ``tail[w1]`` the second
+    witness and the row's end, and ``tail[-1]``, the entry past the last
+    label, the one-witness end.  Each column goes through ``tolist()``,
+    which numpy arrays and ``array.array``s both have, one at a time.
+    """
+    head, mid, wopen, wsep, close = template.split("%d")
+    labels = [str(v) for v in range(n)]
+    pa = [f"{sep}{head}{v}{mid}" for v in labels]
+    pb = [v + wopen for v in labels]
+    tail = [f"{wsep}{v}{close}" for v in labels] + [close]
+    flat = [""] * (4 * len(edges))
+    flat[0::4] = map(pa.__getitem__, edges.a.tolist())
+    flat[1::4] = map(pb.__getitem__, edges.b.tolist())
+    flat[2::4] = map(labels.__getitem__, edges.w0.tolist())
+    flat[3::4] = map(tail.__getitem__, edges.w1.tolist())
+    if flat:
+        flat[0] = flat[0][len(sep):]
+    return "".join(flat)
+
+
 # One row of each bulk array as json.dumps(doc, indent=2) lays it out:
-# rows at depth 2, their items at depth 3.  An edge row is picked by its
-# number of witnesses, one or two (see ExitGraph).
-_POINT_ROW = '    [\n      %s,\n      %s\n    ]'
-_EDGE_HEAD = ('    {\n      "endpoints": [\n        %d,\n        %d\n      ],\n'
-              '      "witnesses": [\n        ')
-_EDGE_ROWS = {1: _EDGE_HEAD + '%d\n      ]\n    }',
-              2: _EDGE_HEAD + '%d,\n        %d\n      ]\n    }'}
+# rows at depth 2, their items at depth 3.  Coordinates are
+# format_coordinate's text, digits with "-" and "/", which JSON does not
+# escape.
+_POINT_ROW = '    [\n      "%s",\n      "%s"\n    ]'
+_EDGE_ROW = ('    {\n      "endpoints": [\n        %d,\n        %d\n      ],\n'
+             '      "witnesses": [\n        %d,\n        %d\n      ]\n    }')
 
 
-def _array(rows: list[str]) -> list[str]:
-    return ["[\n", ",\n".join(rows), "\n  ]"] if rows else ["[]"]
+def _array(rows: str) -> list[str]:
+    return ["[\n", rows, "\n  ]"] if rows else ["[]"]
 
 
 def render_json(doc: dict) -> str:
@@ -75,22 +101,18 @@ def render_json(doc: dict) -> str:
 
     ``indent`` makes json fall back to its pure-Python encoder, which on
     large sets costs more than computing the exit edges, so the two bulk
-    arrays are written with one template per row, the edges straight from
-    the ExitGraph's columns.  Strings still go through json's own
-    escaping, and the other keys through json.dumps.  Everything is
-    joined once at the end, so the joined rows are copied once more, not
-    once per level of nesting.
+    arrays are written directly: the points with one template per row,
+    the edges by edge_rows from the ExitGraph's columns.  The other keys
+    go through json.dumps.  Everything is joined once at the end, so the
+    rows are copied once more, not once per level of nesting.
     """
     parts = ["{"]
     for key, value in doc.items():
         parts.append(f"\n  {json.dumps(key)}: ")
         if key == "points":
-            parts += _array([_POINT_ROW % (json.dumps(x), json.dumps(y))
-                             for x, y in value])
+            parts += _array(",\n".join([_POINT_ROW % (x, y) for x, y in value]))
         elif key == "exit_edges":
-            one, two = _EDGE_ROWS[1], _EDGE_ROWS[2]
-            parts += _array([one % (a, b, w0) if w1 < 0 else two % (a, b, w0, w1)
-                             for a, b, w0, w1 in zip(*value.columns())])
+            parts += _array(edge_rows(value, doc["n"], _EDGE_ROW, ",\n"))
         else:
             parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
         parts.append(",")

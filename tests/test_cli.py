@@ -61,6 +61,26 @@ def test_python_dash_m_runs_the_cli(square_file, capsys, module):
     assert proc.stdout == expected
 
 
+def test_small_compute_never_loads_numpy(tmp_path):
+    # below 64 points the exact Python scan runs and both writers read its
+    # array.array columns
+    f = tmp_path / "ten.txt"
+    f.write_text(serialize_points(random_general_position(10, random.Random(10))))
+    code = (
+        "import sys, exitgraph.cli\n"
+        f"assert exitgraph.cli.cli(['compute', {str(f)!r}]) == 0\n"
+        f"assert exitgraph.cli.cli(['compute', {str(f)!r}, '--json']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(exitgraph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert " exit edges: {" in proc.stdout and '"exit_edges"' in proc.stdout
+
+
 def test_check_agrees_on_random_input(tmp_path, capsys):
     ps = random_general_position(10, random.Random(42))
     f = tmp_path / "pts.txt"

@@ -23,6 +23,7 @@ from exitgraph import (
     stats_report,
 )
 from exitgraph.cli import cli
+from exitgraph.pointfile import format_coordinate
 from exitgraph.svg import format_number
 from conftest import random_sets
 
@@ -62,6 +63,28 @@ def test_parse_rejects_exponent_notation_promptly():
 
 def test_parse_decimals_still_accepted():
     assert parse_point_list("0.5 -1.25\n") == [point(Fraction(1, 2), Fraction(-5, 4))]
+
+
+# integer tokens take int(); every other form must still reach Fraction
+_TOKENS = ["0", "-0", "007", "-12", "9" * 40, "-" + "9" * 40, "1" * 5000, "-" + "1" * 5000,
+           "+5", "--5", "-", "5-", "1_000", "-1_000", "\u0663", "-\u0663", "\u00b2",
+           "\uff17", "0.5", "-.5", "3/6", "-3/6", "1/0", "abc"]
+
+
+@pytest.mark.parametrize("token", _TOKENS)
+def test_parse_integer_fast_path_matches_fraction_parse(token):
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError) as err:
+        for text, line in ((f"{token} 1\n", 1), (f"0 0\n2 {token}\n", 2)):
+            with pytest.raises(PointSyntaxError) as got:
+                parse_point_list(text)
+            assert str(got.value) == f"line {line}: {err}"
+    else:
+        assert parse_point_list(f"{token} 1\n") == [point(value, 1)]
+        assert parse_point_list(f"0 0\n2 {token}\n")[1] == point(2, value)
+        got = parse_point_list(f"{token} {token}\n")[0]
+        assert type(got.x) is type(got.y) is Fraction
 
 
 def test_parse_point_list_allows_degenerate():
@@ -228,6 +251,69 @@ def test_render_json_matches_json_indent_encoder(writer_corpus):
         two_witness += any(len(e.witnesses) == 2 for e in edges)
         with_stats += len(docs) - 1
     assert min(rational, two_witness, with_stats) >= 50, (rational, two_witness, with_stats)
+
+
+def _compute_text_reference(edges):
+    """Reference for plain compute: each edge's str, joined by "; "."""
+    plural = "s" if len(edges) != 1 else ""
+    return f"{len(edges)} exit edge{plural}: " + "; ".join(str(e) for e in edges) + "\n"
+
+
+@pytest.fixture(scope="module")
+def wide_label_sets():
+    """Sets past two-digit labels: 120 points on the numpy scan, and 110
+    points scaled by 2^40 (with rational offsets) on the pure-Python one."""
+    rng = random.Random(1201)
+    wide = random_general_position(120, rng)
+    big = random_general_position(110, rng)
+    scaled = certify_general_position(
+        [(p.x * 2 ** 40 - Fraction(1, 3), -p.y * 2 ** 40) for p in big.points])
+    return [wide, scaled]
+
+
+def test_writers_past_two_digit_labels_on_both_backends(wide_label_sets, tmp_path, capsys):
+    backends = []
+    for ps in wide_label_sets:
+        edges = exit_edges_dual(ps)
+        backends.append(type(edges.a).__module__)
+        assert {len(e.witnesses) for e in edges} == {1, 2}
+        assert max(max(e.endpoints) for e in edges) >= 100
+        for doc in (build_report(ps, edges), build_report(ps, edges, stats_report(ps))):
+            assert render_json(doc) == _render_json_reference(doc)
+        f = tmp_path / "points.txt"
+        f.write_text(serialize_points(ps))
+        assert cli(["compute", str(f)]) == 0
+        assert capsys.readouterr().out == _compute_text_reference(edges)
+    assert backends == ["numpy", "array"]
+
+
+def test_edge_rows_fills_the_template_from_either_column_type():
+    from array import array
+
+    import numpy as np
+
+    from exitgraph.report import edge_rows
+
+    cols = [2, 3, 9], [5, 10, 11], [0, 1, 1], [7, -1, 4]
+    expected = "<2 5 0|7>, <3 10 1>, <9 11 1|4>"
+    for make in (lambda c: array("q", c), np.array):
+        graph = ExitGraph(*map(make, cols))
+        assert edge_rows(graph, 12, "<%d %d %d|%d>", ", ") == expected
+        assert edge_rows(ExitGraph(*(make([]) for _ in cols)), 12, "<%d %d %d|%d>", ", ") == ""
+
+
+def test_coordinate_text_needs_no_json_escaping(writer_corpus, wide_label_sets):
+    # render_json quotes each point coordinate as it is, without json.dumps
+    rng = random.Random(77)
+    extra = [Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20))
+             for _ in range(200)]
+    texts = [c for ps in writer_corpus + wide_label_sets
+             for row in build_report(ps, exit_edges_dual(ps))["points"] for c in row]
+    texts += [format_coordinate(v) for v in extra]
+    assert any("/" in t for t in texts) and any(t.startswith("-") for t in texts)
+    for t in texts:
+        assert re.fullmatch(r"-?[0-9]+(/[0-9]+)?", t), t
+        assert json.dumps(t) == f'"{t}"'
 
 
 @pytest.mark.parametrize("command", ["compute", "stats"])
