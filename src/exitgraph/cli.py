@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 on input or usage errors, 2 when a verified
-property fails to hold (method disagreement or a violated bound).
+property fails to hold (method disagreement or a violated bound).  When
+the reader of stdout closes it early (``exitgraph compute f | head``),
+the command stops with exit code 1 and writes nothing to stderr.
 
 Every point file must hold distinct points, no three collinear.  The
 one-file commands whose first geometric step is the dual scan
@@ -18,6 +20,7 @@ error is thus the one that ``parse_points`` gives, which ``compare`` and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -240,7 +243,15 @@ def cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return INPUT_ERROR if exc.code else OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop without a message, and point
+        # stdout at devnull so that the interpreter's last flush has
+        # nothing to report; exit 1, as Python itself does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return INPUT_ERROR
     except (GeometryError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR

@@ -23,7 +23,8 @@ row it cannot certify with the same ``_exact_row``.
 One pure-Python scan, ``_scan_cells``, makes these tests and yields what
 its numpy counterpart ``fastscan.scan_exit_items_np`` yields: one
 (exit vertex key, witness) item per unmarked cell.  ``_exit_graph``
-groups the items into an ``ExitGraph``, and every other view reads that
+groups the items into an ``ExitGraph``, as ``fastscan.exit_graph_np``
+does the numpy items, and every other view reads that
 graph: the exit edge ab with the witness w is the unmarked cell on the
 lines a, b and w, and the marked cell, at vertical infinity, is bounded
 by the duals of the convex hull's vertices.  ``exit_edges_dual`` returns
@@ -387,22 +388,24 @@ _VECTOR_THRESHOLD = 64
 def _exit_edges_vectorized(a: list[int], b: list[int], n: int) -> ExitGraph:
     from . import fastscan
 
-    order, rank = fastscan.crossing_tables_np(a, b)
-    keys, wits = fastscan.scan_exit_items_np(order, rank)
-    return fastscan.exit_graph_np(*fastscan.group_exit_items_np(keys, wits), n)
+    # nested calls: the n x n order and rank tables live only as the
+    # scan's arguments, so they are freed before the grouping allocates
+    return fastscan.exit_graph_np(
+        *fastscan.scan_exit_items_np(*fastscan.crossing_tables_np(a, b)), n)
 
 
 def exit_edges_dual(ps: PointSet) -> ExitGraph:
     """Exit edges via the dual arrangement: one unmarked triangle per
     (edge, witness) pair; hourglasses merge into two-witness edges.
 
-    Returns an ExitGraph whose columns come straight from the scan: numpy
-    arrays from 64 points on (while the sheared coordinates stay within
-    ``fastscan.MAX_SAFE_COORD``), ``array.array`` from the pure-Python
-    scan otherwise, so smaller calls never load numpy.  No ExitEdge is
-    built until one is asked for.  Raises TripleSharedExitVertexError if
-    an exit vertex gathers three witnesses, which general position rules
-    out.
+    Returns an ExitGraph whose columns come straight from the scan's
+    items: numpy arrays from 64 points on (while the sheared coordinates
+    stay within ``fastscan.MAX_SAFE_COORD``), grouped by
+    ``fastscan.exit_graph_np`` with one sort, and ``array.array`` from
+    the pure-Python scan otherwise, grouped by ``_exit_graph``, so
+    smaller calls never load numpy.  No ExitEdge is built until one is
+    asked for.  Raises TripleSharedExitVertexError if an exit vertex
+    gathers three witnesses, which general position rules out.
     """
     n = len(ps)
     if n < 3:

@@ -1,7 +1,9 @@
-"""Vectorized crossing tables and triangle scan for large inputs.
+"""Vectorized crossing tables, triangle scan and exit graph for large inputs.
 
-The numpy counterparts of dual.crossing_tables and of the cell scan
-dual._scan_cells, on int64 arrays.  All decisions stay exact: float keys
+The numpy counterparts of dual.crossing_tables, of the cell scan
+dual._scan_cells and of its builder dual._exit_graph, on int64 arrays:
+exit_graph_np groups the scan's (exit vertex, witness) items with one
+sort of their codes key*n + w.  All decisions stay exact: float keys
 only pre-sort the crossings, and every adjacent pair is then certified by
 an integer sign test; the int64 products cannot overflow because callers
 guard the coordinate magnitude with MAX_SAFE_COORD.  Rows that fail
@@ -124,27 +126,23 @@ def _scan_block(order: np.ndarray, flat: np.ndarray, rank_t: np.ndarray, lo: int
     wits += [NXT[m11], O[m00], II[m01]]
 
 
-def group_exit_items_np(keys: np.ndarray, wits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sort by key and group; returns (unique_keys, starts, counts, wits_sorted)."""
-    idx = np.argsort(keys, kind="stable")
-    ks = keys[idx]
-    ws = wits[idx]
-    uniq, starts, counts = np.unique(ks, return_index=True, return_counts=True)
-    return uniq, starts, counts, ws
+def exit_graph_np(keys: np.ndarray, wits: np.ndarray, n: int) -> ExitGraph:
+    """The exit graph of scan_exit_items_np's items, as dual._exit_graph
+    builds it from the pure-Python scan's: each unmarked cell gives the
+    exit vertex key a*n + b in keys and its witness line in wits.
 
-
-def exit_graph_np(uniq: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-                  ws: np.ndarray, n: int) -> ExitGraph:
-    """The exit graph of group_exit_items_np's output: exit vertex
-    uniq[t] = a*n + b has the counts[t] witnesses that start at
-    ws[starts[t]]."""
-    several = np.flatnonzero(counts > 2)
-    if len(several):
-        raise _triple_witness_error(int(uniq[several[0]]), n)
-    w0 = ws[starts]
-    w1 = np.full_like(w0, -1)
-    two = np.flatnonzero(counts == 2)
-    other = ws[starts[two] + 1]
-    w1[two] = np.maximum(w0[two], other)
-    w0[two] = np.minimum(w0[two], other)
-    return ExitGraph(uniq // n, uniq % n, w0, w1)
+    One sort of the codes key*n + w puts each vertex's witnesses in
+    adjacent entries, ascending: a second witness is the next entry, and
+    a third the one after it.
+    """
+    # key*n + w < n^3, which int64 holds for every n below 2^21
+    codes = keys * n + wits
+    codes.sort()
+    key, w = np.divmod(codes, n)
+    same = key[1:] == key[:-1]  # entry t+1 is another witness of entry t's vertex
+    triple = np.flatnonzero(same[1:] & same[:-1])
+    if len(triple):
+        raise _triple_witness_error(int(key[triple[0]]), n)
+    first = np.append(True, ~same)
+    w1 = np.append(np.where(same, w[1:], -1), -1)
+    return ExitGraph(key[first] // n, key[first] % n, w[first], w1[first])

@@ -179,11 +179,7 @@ def certify_general_position(points: Iterable) -> PointSet:
     whose smallest label is i.  The test runs on ``int_coords``, so it is
     exact for rationals and integers of any size.
     """
-    pts = [_as_point(p) for p in points]
-    dup = _first_duplicate(pts)
-    if dup is not None:
-        raise DuplicatePointError(*dup)
-    ps = PointSet(tuple(pts))
+    ps = trusted_point_set(points)
     grid = ps.int_coords
     for i, (xi, yi) in enumerate(grid):
         keys = [_direction(x - xi, y - yi) for x, y in grid[i + 1:]]

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, sqrt
+from math import gcd, isqrt, sqrt
 from typing import Sequence
 
-from .geometry import GeometryError, Point, PointSet, SizeMismatchError, _as_point
+from .geometry import GeometryError, PointSet, SizeMismatchError
 
 
 class ImmediateDegeneracyError(GeometryError):
@@ -167,16 +167,6 @@ class MorphEvent:
     between: bool
 
 
-def _scaled_coords(start: Sequence[Point], target: Sequence[Point]):
-    scale = lcm(1, *(d for p in (*start, *target)
-                     for d in (p.x.denominator, p.y.denominator)))
-
-    def grid(pts):
-        return [(int(p.x * scale), int(p.y * scale)) for p in pts]
-
-    return grid(start), grid(target)
-
-
 def first_collinearity_morph(ps0: PointSet, target: Sequence) -> MorphEvent | None:
     """Earliest time in (0, 1] at which any triple becomes collinear when
     every point moves linearly from ps0 to its target position.
@@ -184,11 +174,12 @@ def first_collinearity_morph(ps0: PointSet, target: Sequence) -> MorphEvent | No
     Returns None when no triple degenerates.  Sign evaluations at the
     event time run in the quadratic extension containing the root.
     """
-    tgt = [_as_point(p) for p in target]
-    if len(tgt) != len(ps0):
-        raise SizeMismatchError(f"sizes differ: {len(ps0)} vs {len(tgt)}")
-    g0, g1 = _scaled_coords(ps0.points, tgt)
-    n = len(g0)
+    n = len(ps0)
+    # one grid for both ends: every coordinate times their common denominator
+    grid = PointSet((*ps0.points, *target)).int_coords
+    if len(grid) != 2 * n:
+        raise SizeMismatchError(f"sizes differ: {n} vs {len(grid) - n}")
+    g0, g1 = grid[:n], grid[n:]
 
     best: QuadraticRoot | None = None
     best_triple: tuple[int, int, int] | None = None

@@ -8,6 +8,8 @@ canonical form, so parse(serialize(ps)) round-trips exactly.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .geometry import GeometryError, Point, PointSet, certify_general_position
@@ -21,11 +23,25 @@ class PointSyntaxError(GeometryError):
 
 def _coordinate(token: str) -> int | Fraction:
     """int(token) for an ASCII integer, an optional "-" and digits;
-    Fraction(token), the slower general parse, for every other token."""
+    Fraction(token), the slower general parse, for every other token.
+
+    Both convert each run of digits with int(), which refuses more than
+    sys.get_int_max_str_digits() digits; that refusal is reworded here,
+    since the call its message names is out of a point file's reach.
+    """
     digits = token[1:] if token[:1] == "-" else token
-    if digits.isascii() and digits.isdigit():
-        return int(token)
-    return Fraction(token)
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(token)
+        return Fraction(token)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        longest = max((len(run.replace("_", "")) for run in re.findall(r"\d[\d_]*", token)),
+                      default=0)
+        if 0 < limit < longest:
+            raise ValueError(f"a coordinate has a number of {longest} digits, "
+                             f"more than the limit of {limit} digits") from None
+        raise
 
 
 def parse_point_list(text: str) -> list[Point]:

@@ -7,7 +7,6 @@ changes; all numbers are exact, with rationals written "p/q".
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .analysis import StatsReport
 from .dual import ExitGraph
@@ -15,10 +14,6 @@ from .geometry import PointSet
 from .pointfile import format_coordinate
 
 SCHEMA_VERSION = 1
-
-
-def _frac(value: Fraction) -> str:
-    return format_coordinate(Fraction(value))
 
 
 def build_report(ps: PointSet, edges: ExitGraph,
@@ -42,11 +37,11 @@ def build_report(ps: PointSet, edges: ExitGraph,
             "triangles_unmarked": stats.triangles_unmarked,
             "hourglasses": stats.hourglass_count,
             "exit_edges": stats.exit_edge_count,
-            "lower_bound": _frac(stats.lower_bound),
-            "upper_bound": _frac(stats.upper_bound),
-            "sum_x": _frac(stats.sum_x),
+            "lower_bound": format_coordinate(stats.lower_bound),
+            "upper_bound": format_coordinate(stats.upper_bound),
+            "sum_x": format_coordinate(stats.sum_x),
             "per_line": [
-                {"line": ls.source, "t": ls.t, "h": ls.h, "x": _frac(ls.x)}
+                {"line": ls.source, "t": ls.t, "h": ls.h, "x": format_coordinate(ls.x)}
                 for ls in stats.per_line
             ],
         }

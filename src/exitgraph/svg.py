@@ -154,21 +154,15 @@ def _clip_line_to_rect(line: DualLine, canvas: _Canvas):
             (canvas.x0 + t1 * dx, ay + t1 * dy))
 
 
-def _away_ray(line: DualLine, from_vertex, other_vertex):
-    """Unbounded direction of a wedge ray: along the line, away from its
-    other triangle vertex."""
-    east = from_vertex[0] > other_vertex[0]
-    return (Fraction(1), line.slope) if east else (Fraction(-1), -line.slope)
-
-
 def dual_cell_polygons(ps: PointSet):
     """Exact viewport-clipped polygons of the unmarked triangular cells.
 
-    Returns (viewport corners, crossing positions, pieces); pieces is a
-    list of (triangle, tag, polygon) with rational polygon vertices, and
-    cells glued across infinity contribute two polygons under one tag.
-    A cell equals the intersection of its three bounding halfplanes, so
-    clipping those against the viewport reproduces it exactly.
+    Returns (viewport corners, dual lines of the sheared set, crossing
+    positions, pieces); pieces is a list of (triangle, tag, polygon) with
+    rational polygon vertices, and cells glued across infinity
+    contribute two polygons under one tag.  A cell equals the
+    intersection of its three bounding halfplanes, so clipping those
+    against the viewport reproduces it exactly.
     """
     sheared, _ = shear_to_generic(ps)
     lines = dualize(sheared)
@@ -200,10 +194,9 @@ def dual_cell_polygons(ps: PointSet):
         apex = positions[tuple(sorted((p_src, q_src)))]
         vp = positions[tuple(sorted((p_src, w_src)))]
         vq = positions[tuple(sorted((q_src, w_src)))]
-        dp = _away_ray(lp, apex, vp)
-        dq = _away_ray(lq, apex, vq)
-        sample = (apex[0] + dp[0] + dq[0], apex[1] + dp[1] + dq[1])
-        sp, sq = _side(lp, sample), _side(lq, sample)
+        # the wedge at the apex is the angle opposite the triangle
+        # apex, vp, vq: across line p from vq and across line q from vp
+        sp, sq = -_side(lp, vq), -_side(lq, vp)
         wedge = _clip_halfplane(_clip_halfplane(rect, _halfplane(lp, sp)),
                                 _halfplane(lq, sq))
         far = _clip_halfplane(_clip_halfplane(_clip_halfplane(
@@ -212,13 +205,11 @@ def dual_cell_polygons(ps: PointSet):
         for piece in (wedge, far):
             if len(piece) >= 3:
                 pieces.append((t, tag, piece))
-    return rect, positions, pieces
+    return rect, lines, positions, pieces
 
 
 def _render_dual(ps: PointSet) -> str:
-    sheared, _ = shear_to_generic(ps)
-    lines = dualize(sheared)
-    rect, positions, pieces = dual_cell_polygons(ps)
+    rect, lines, positions, pieces = dual_cell_polygons(ps)
     (x0, y0), _, (x1, y1), _ = rect
 
     canvas = _Canvas(x0, x1, y0, y1)

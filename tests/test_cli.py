@@ -21,6 +21,14 @@ from exitgraph.cli import cli
 from conftest import grid_sets
 
 
+def _src_env() -> dict[str, str]:
+    """The environment, with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(exitgraph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.fixture
 def square_file(tmp_path):
     f = tmp_path / "square.txt"
@@ -52,9 +60,7 @@ def test_compute_json(square_file, capsys):
 def test_python_dash_m_runs_the_cli(square_file, capsys, module):
     assert cli(["compute", square_file, "--json"]) == 0
     expected = capsys.readouterr().out
-    env = dict(os.environ)
-    src = str(Path(exitgraph.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     proc = subprocess.run([sys.executable, "-m", module, "compute", square_file, "--json"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -72,9 +78,7 @@ def test_small_compute_never_loads_numpy(tmp_path):
         f"assert exitgraph.cli.cli(['compute', {str(f)!r}, '--json']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
     )
-    env = dict(os.environ)
-    src = str(Path(exitgraph.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -218,6 +222,53 @@ def test_exponent_coordinate_is_input_error(tmp_path, capsys):
     f.write_text("0 0\n1e999999999 0\n2 5\n")
     assert cli(["compute", str(f)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_over_long_coordinate_is_input_error(tmp_path, capsys):
+    f = tmp_path / "long.txt"
+    f.write_text(f"0 0\n{'7' * 5000} 1\n2 5\n")
+    assert cli(["compute", str(f)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 2: a coordinate has a number of 5000 digits, more than the limit of "
+        f"{sys.get_int_max_str_digits()} digits\n")
+
+
+def _buffered_env() -> dict[str, str]:
+    """_src_env with Python's default stdout buffering, as users run it."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_closed_pipe_ends_compute_quietly(tmp_path):
+    # as under `exitgraph compute big.txt | head -c 300`: 500 points print
+    # far more than a 64 KiB pipe buffer, so a write fails once the reader
+    # has closed the pipe
+    f = tmp_path / "five_hundred.txt"
+    f.write_text(serialize_points(random_general_position(500, random.Random(500))))
+    proc = subprocess.Popen([sys.executable, "-m", "exitgraph", "compute", str(f)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_env())
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+    assert head.split(b": ", 1)[1].startswith(b"{0,")
+
+
+def test_closed_pipe_ends_buffered_output_quietly(square_file):
+    # short output waits in stdout's buffer: its write fails in the flush
+    # at the end of the command, and the interpreter's own flush at exit
+    # finds nothing left to write
+    r, w = os.pipe()
+    os.close(r)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "exitgraph", "stats", square_file],
+                              stdout=w, stderr=subprocess.PIPE, env=_buffered_env(), timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_usage_error(capsys):

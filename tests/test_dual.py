@@ -194,7 +194,7 @@ def test_exit_edge_builder_refuses_three_witnesses():
     expected = (ExitEdge((0, 1), frozenset({2, 3})), ExitEdge((1, 2), frozenset({0})))
     python = dual._exit_graph([(6, 0), (1, 3), (1, 2)], 4)
     keys, wits = np.array([6, 1, 1], dtype=np.int64), np.array([0, 3, 2], dtype=np.int32)
-    vectorized = fastscan.exit_graph_np(*fastscan.group_exit_items_np(keys, wits), 4)
+    vectorized = fastscan.exit_graph_np(keys, wits, 4)
     for graph in (python, vectorized):
         assert graph == expected
         assert [c.tolist() for c in (graph.a, graph.b, graph.w0, graph.w1)] == [
@@ -203,7 +203,40 @@ def test_exit_edge_builder_refuses_three_witnesses():
         dual._exit_graph([(1, 2), (1, 3), (1, 4)], 5)
     keys, wits = np.array([1, 1, 1], dtype=np.int64), np.array([2, 3, 4], dtype=np.int32)
     with pytest.raises(TripleSharedExitVertexError):
-        fastscan.exit_graph_np(*fastscan.group_exit_items_np(keys, wits), 5)
+        fastscan.exit_graph_np(keys, wits, 5)
+
+
+@pytest.mark.parametrize("items, n", [
+    ([(7, 4)], 5),
+    ([(7, 4), (7, 0)], 5),  # two witnesses, given in descending order
+    ([(23, 0), (3, 9), (18, 2), (3, 4), (23, 1), (19, 6)], 10),
+    ([(998999, 997), (998999, 0), (1, 999), (1, 2), (1005, 3)], 1000),  # the largest labels
+])
+def test_numpy_exit_graph_builder_matches_the_python_one(items, n):
+    # hand-made scan items in any order: the one sort of key*n + w groups
+    # each vertex's witnesses, w0 < w1, as dual._exit_graph does
+    keys = np.array([k for k, _ in items], dtype=np.int64)
+    wits = np.array([w for _, w in items], dtype=np.int32)
+    graph = fastscan.exit_graph_np(keys, wits, n)
+    python = dual._exit_graph(items, n)
+    assert graph.columns() == python.columns()
+    assert all(w0 < w1 for w0, w1 in zip(graph.w0.tolist(), graph.w1.tolist()) if w1 >= 0)
+    assert _reference_edges(items, n) == tuple(graph)
+
+
+@pytest.mark.parametrize("items, n", [
+    ([(1, 4), (1, 2), (1, 3)], 5),
+    ([(1, 2), (23, 5), (7, 0), (23, 9), (1, 3), (23, 6), (7, 3), (7, 1)], 10),
+    ([(k, w) for k in (900, 5, 999) for w in (1, 2, 3, 4)], 1000),
+])
+def test_numpy_exit_graph_builder_refuses_a_third_witness_as_python_does(items, n):
+    keys = np.array([k for k, _ in items], dtype=np.int64)
+    wits = np.array([w for _, w in items], dtype=np.int32)
+    with pytest.raises(TripleSharedExitVertexError) as python:
+        dual._exit_graph(sorted(items), n)
+    with pytest.raises(TripleSharedExitVertexError) as vectorized:
+        fastscan.exit_graph_np(keys, wits, n)
+    assert str(vectorized.value) == str(python.value)
 
 
 def _exit_edge_tuple(keys, witnesses, n):
@@ -222,25 +255,21 @@ def _exit_edge_tuple(keys, witnesses, n):
     return tuple(edges)
 
 
-def _reference_python(a, b):
+def _reference_edges(items, n):
     groups = {}
-    for key, w in dual._exit_items(a, b):
+    for key, w in items:
         groups.setdefault(key, []).append(w)
     keys = sorted(groups)
-    return _exit_edge_tuple(keys, [ws[0] if len(ws) == 1 else ws for ws in map(groups.get, keys)],
-                            len(a))
+    return _exit_edge_tuple(keys, [ws[0] if len(ws) == 1 else ws for ws in map(groups.get, keys)], n)
+
+
+def _reference_python(a, b):
+    return _reference_edges(dual._exit_items(a, b), len(a))
 
 
 def _reference_vectorized(a, b):
-    order, rank = fastscan.crossing_tables_np(a, b)
-    keys, wits = fastscan.scan_exit_items_np(order, rank)
-    uniq, starts, counts, ws = fastscan.group_exit_items_np(keys, wits)
-    witnesses = ws[starts].tolist()
-    several = (counts > 1).nonzero()[0]
-    ws = ws.tolist()
-    for t, s, c in zip(several.tolist(), starts[several].tolist(), counts[several].tolist()):
-        witnesses[t] = ws[s:s + c]
-    return _exit_edge_tuple(uniq.tolist(), witnesses, len(a))
+    keys, wits = fastscan.scan_exit_items_np(*fastscan.crossing_tables_np(a, b))
+    return _reference_edges(zip(keys.tolist(), wits.tolist()), len(a))
 
 
 _SLICES = (slice(None), slice(1, None), slice(None, -1), slice(-3, None),

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,8 @@ def test_parse_integer_fast_path_matches_fraction_parse(token):
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError) as err:
+        if "1" * 5000 in token:  # past int()'s digit limit, reworded
+            err = _over_limit(5000)
         for text, line in ((f"{token} 1\n", 1), (f"0 0\n2 {token}\n", 2)):
             with pytest.raises(PointSyntaxError) as got:
                 parse_point_list(text)
@@ -85,6 +88,36 @@ def test_parse_integer_fast_path_matches_fraction_parse(token):
         assert parse_point_list(f"0 0\n2 {token}\n")[1] == point(2, value)
         got = parse_point_list(f"{token} {token}\n")[0]
         assert type(got.x) is type(got.y) is Fraction
+
+
+def _over_limit(digits):
+    return (f"a coordinate has a number of {digits} digits, "
+            f"more than the limit of {sys.get_int_max_str_digits()} digits")
+
+
+@pytest.mark.parametrize("token, digits", [
+    ("8" * 4400, 4400),
+    ("-" + "8" * 5000 + "/3", 5000),
+    ("1/" + "3" * 4301, 4301),
+    ("0." + "5" * 6000, 6000),
+    ("1_" * 4300 + "1", 4301),  # int() counts the digits, not the underscores
+], ids=["integer", "numerator", "denominator", "decimal", "underscores"])
+def test_parse_names_the_digit_limit(token, digits):
+    # int() refuses more than sys.get_int_max_str_digits() digits with a
+    # message naming a call that a point file cannot make
+    for text, line in ((f"{token} 1\n", 1), (f"0 0\n# x\n\n2 {token}\n", 4)):
+        with pytest.raises(PointSyntaxError) as got:
+            parse_point_list(text)
+        assert str(got.value) == f"line {line}: {_over_limit(digits)}"
+        assert got.value.line_number == line
+
+
+def test_parse_reads_coordinates_at_the_digit_limit_exactly():
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** limit - 1  # limit nines
+    text = f"{'9' * limit} -{'9' * limit}\n1/{'9' * limit} 0.{'9' * limit}\n"
+    assert parse_point_list(text) == [
+        point(big, -big), point(Fraction(1, big), Fraction(big, big + 1))]
 
 
 def test_parse_point_list_allows_degenerate():
@@ -162,7 +195,7 @@ def test_dual_shading_polygons_respect_the_arrangement():
     for ps in random_sets(10, 4, 9, seed=1717):
         sheared, _ = shear_to_generic(ps)
         lines = {l.source: l for l in dualize(sheared)}
-        _, _, pieces = dual_cell_polygons(ps)
+        _, _, _, pieces = dual_cell_polygons(ps)
         tris = {id(t) for t, _, _ in pieces}
         assert len(pieces) >= len(tris)
         for tri, _tag, poly in pieces:
