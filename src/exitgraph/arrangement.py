@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
-from .dual import ConcurrentLinesError, DualLine, crossing_tables
-from .geometry import GeometryError
+from .dual import ConcurrentLinesError, DualLine, crossing_position, crossing_tables
+from .geometry import GeometryError, _grid
 
 Piece = tuple[int, int, int]  # (line index, piece index 0..m, direction +-1)
 
@@ -99,18 +98,14 @@ class ProjectiveArrangement:
 
     # -- construction -------------------------------------------------
 
-    def _int_coeffs(self) -> tuple[list[int], list[int]]:
-        scale = lcm(1, *(d for l in self.lines
-                         for d in (l.slope.denominator, l.intercept.denominator)))
-        a = [int(l.slope * scale) for l in self.lines]
-        b = [int(l.intercept * scale) for l in self.lines]
-        return a, b
-
     def _build(self):
         lines = self.lines
         n = len(lines)
         m = n - 1
-        a, b = self._int_coeffs()
+        # a common positive scale moves no crossing
+        grid, _ = _grid((l.slope, l.intercept) for l in lines)
+        a = [s for s, _ in grid]
+        b = [t for _, t in grid]
         try:
             order, rank = crossing_tables(a, b)
         except ConcurrentLinesError as err:
@@ -126,9 +121,8 @@ class ProjectiveArrangement:
         for i in range(n):
             for j in range(i + 1, n):
                 li, lj = lines[i], lines[j]
-                x = (lj.intercept - li.intercept) / (li.slope - lj.slope)
                 v = ArrangementVertex(
-                    tuple(sorted((li.source, lj.source))), (x, li.y_at(x)))
+                    tuple(sorted((li.source, lj.source))), crossing_position(li, lj))
                 self.vertex_ids[(i, j)] = len(self.vertices)
                 self.vertices.append(v)
 

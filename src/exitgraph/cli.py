@@ -71,8 +71,17 @@ def _scan(points: list[Point], scan):
     try:
         return ps, scan(ps)
     except ConcurrentLinesError:
-        certify_general_position(ps.points)
+        certify_general_position(ps.int_coords)
         raise
+
+
+# --json documents are written in slices of this many characters, so that
+# no encoded copy of the whole text is made at once
+_WRITE_SLICE = 1 << 20
+
+
+def _write(text: str) -> None:
+    sys.stdout.writelines(text[i:i + _WRITE_SLICE] for i in range(0, len(text), _WRITE_SLICE))
 
 
 def _format_edges(edges: ExitGraph, n: int) -> str:
@@ -86,7 +95,7 @@ def _format_edges(edges: ExitGraph, n: int) -> str:
 def _cmd_compute(args) -> int:
     ps, edges = _scan(_points(args.file), exit_edges_dual)
     if args.json:
-        print(render_json(build_report(ps, edges)), end="")
+        _write(render_json(build_report(ps, edges)))
     else:
         print(_format_edges(edges, len(ps)))
     return OK
@@ -114,7 +123,7 @@ def _cmd_stats(args) -> int:
     ps, edges = _scan(_points(args.file), exit_edges_dual)
     rep = exit_graph_stats(ps, edges)
     if args.json:
-        print(render_json(build_report(ps, edges, rep)), end="")
+        _write(render_json(build_report(ps, edges, rep)))
     else:
         print(f"n = {rep.n}")
         print(f"triangular cells = {rep.triangles} "

@@ -8,8 +8,9 @@ collinear triples therefore never go wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, Union
@@ -92,70 +93,79 @@ def point(x: Coordinate, y: Coordinate) -> Point:
     return Point(_frac(x), _frac(y))
 
 
-def _as_point(obj) -> Point:
-    if isinstance(obj, Point):
-        return obj
-    x, y = obj
-    return Point(_frac(x), _frac(y))
+def _rational(value: Coordinate) -> int | Fraction:
+    return value if isinstance(value, (int, Fraction)) else _frac(value)
+
+
+def _grid(pairs: Iterable) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(grid, scale) for Points or (x, y) pairs of ints, Fractions or
+    text: the least common denominator scale of all coordinates, and
+    every coordinate times it.  Ints have a numerator and a denominator
+    too, so integer pairs build no Fraction."""
+    rows = [(_rational(x), _rational(y)) for x, y in pairs]
+    scale = lcm(1, *{v.denominator for row in rows for v in row})
+    return tuple((x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+                 for x, y in rows), scale
 
 
 @dataclass(frozen=True)
 class PointSet:
     """An immutable labeled point set; labels are positions 0..n-1.
 
-    ``int_coords`` holds the points rescaled by the common denominator of
-    all coordinates.  Scaling by a positive rational preserves every
-    orientation, so all predicates may (and do) run on these integers.
+    Point i is ``int_coords[i]`` divided by the positive integer
+    ``scale``.  The constructor divides both by their common factor, so
+    the scale is the least common denominator of all coordinates and
+    equal point sets have equal fields.  Scaling by a positive number
+    preserves every orientation, so all predicates may (and do) run on
+    the integers of ``int_coords``; the rational ``Point``s are built
+    only when ``points`` or ``ps[i]`` is read.
     """
 
-    points: tuple[Point, ...]
-    int_coords: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    int_coords: tuple[tuple[int, int], ...]
+    scale: int = 1
 
     def __post_init__(self):
-        pts = tuple(_as_point(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        scale = lcm(1, *(d for p in pts for d in (p.x.denominator, p.y.denominator)))
-        grid = tuple(
-            (int(p.x.numerator * (scale // p.x.denominator)),
-             int(p.y.numerator * (scale // p.y.denominator)))
-            for p in pts
-        )
-        object.__setattr__(self, "int_coords", grid)
+        if self.scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {self.scale}")
+        g = gcd(self.scale, *(v for p in self.int_coords for v in p))
+        if g > 1:
+            object.__setattr__(self, "int_coords",
+                               tuple((x // g, y // g) for x, y in self.int_coords))
+            object.__setattr__(self, "scale", self.scale // g)
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(Point(Fraction(x, self.scale), Fraction(y, self.scale))
+                     for x, y in self.int_coords)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.int_coords)
 
     def __getitem__(self, label: int) -> Point:
         return self.points[label]
 
     def labels(self) -> range:
-        return range(len(self.points))
+        return range(len(self.int_coords))
 
 
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
     """Exact turn direction of (p, q, r): sign of det(q - p, r - p)."""
-    cross = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-    if cross > 0:
-        return Orientation.COUNTERCLOCKWISE
-    if cross < 0:
-        return Orientation.CLOCKWISE
-    return Orientation.COLLINEAR
+    return Orientation(turn((p.x, p.y), (q.x, q.y), (r.x, r.y)))
 
 
 def turn(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> int:
     """Turn of (p, q, r) on integer coordinates such as ``int_coords``:
     1 counterclockwise, -1 clockwise, 0 collinear.  Exact for integers of
-    any size."""
+    any size, and for Fractions."""
     v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
     return (v > 0) - (v < 0)
 
 
-def _first_duplicate(points: Sequence[Point]) -> tuple[int, int] | None:
-    seen: dict[tuple[Fraction, Fraction], list[int]] = {}
-    for i, p in enumerate(points):
-        seen.setdefault((p.x, p.y), []).append(i)
-    pairs = [(g[0], g[1]) for g in seen.values() if len(g) > 1]
-    return min(pairs) if pairs else None
+def _first_duplicate(grid: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
+    """The lexicographically first pair of labels with equal coordinates."""
+    first: dict[tuple[int, int], int] = {}
+    pairs = [(first.setdefault(p, i), i) for i, p in enumerate(grid)]
+    return min((pair for pair in pairs if pair[0] != pair[1]), default=None)
 
 
 def _direction(dx: int, dy: int) -> tuple[int, int]:
@@ -200,11 +210,11 @@ def trusted_point_set(points: Iterable) -> PointSet:
     downstream: exit_edges_dual raises ConcurrentLinesError on exactly
     those sets, which the CLI's scan commands and the search rely on.
     """
-    pts = [_as_point(p) for p in points]
-    dup = _first_duplicate(pts)
+    grid, scale = _grid(points)
+    dup = _first_duplicate(grid)
     if dup is not None:
         raise DuplicatePointError(*dup)
-    return PointSet(tuple(pts))
+    return PointSet(grid, scale)
 
 
 def convex_hull(ps: PointSet) -> list[int]:
@@ -254,17 +264,17 @@ def shear_to_generic(ps: PointSet) -> tuple[PointSet, Fraction]:
 
     lam is the first admissible value of 0, 1, -1, 1/2, -1/2, 1/3, ...
     A shear has determinant 1, so every triple orientation is preserved.
+    With lam = p/q the sheared set is the grid (q*x + p*y, q*y) over the
+    scale q*scale, which the PointSet reduces by their common factor.
     """
-    n = len(ps)
     grid = ps.int_coords
     for lam in _shear_candidates():
         p, q = lam.numerator, lam.denominator
-        keys = {q * x + p * y for x, y in grid}
-        if len(keys) == n:
+        xs = [q * x + p * y for x, y in grid]
+        if len(set(xs)) == len(xs):
             if lam == 0:
                 return ps, lam
-            sheared = tuple(Point(pt.x + lam * pt.y, pt.y) for pt in ps.points)
-            return PointSet(sheared), lam
+            return PointSet(tuple(zip(xs, [q * y for _, y in grid])), q * ps.scale), lam
     raise AssertionError("unreachable: only finitely many shears are forbidden")
 
 

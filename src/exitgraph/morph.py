@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, isqrt, sqrt
 from typing import Sequence
 
-from .geometry import GeometryError, PointSet, SizeMismatchError
+from .geometry import GeometryError, PointSet, SizeMismatchError, _grid
 
 
 class ImmediateDegeneracyError(GeometryError):
@@ -176,7 +176,7 @@ def first_collinearity_morph(ps0: PointSet, target: Sequence) -> MorphEvent | No
     """
     n = len(ps0)
     # one grid for both ends: every coordinate times their common denominator
-    grid = PointSet((*ps0.points, *target)).int_coords
+    grid, _ = _grid((*ps0.points, *target))
     if len(grid) != 2 * n:
         raise SizeMismatchError(f"sizes differ: {n} vs {len(grid) - n}")
     g0, g1 = grid[:n], grid[n:]

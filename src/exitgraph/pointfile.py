@@ -78,7 +78,13 @@ def format_coordinate(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _coordinate_texts(ps: PointSet) -> list[list[str]]:
+    """[x, y] text per label in lowest terms, written from the grid: the
+    plain integers when the scale is 1."""
+    text = str if ps.scale == 1 else (lambda v: format_coordinate(Fraction(v, ps.scale)))
+    return [[text(x), text(y)] for x, y in ps.int_coords]
+
+
 def serialize_points(ps: PointSet) -> str:
     """Canonical text form: lowest-terms coordinates, single spaces."""
-    return "".join(
-        f"{format_coordinate(p.x)} {format_coordinate(p.y)}\n" for p in ps.points)
+    return "".join(f"{x} {y}\n" for x, y in _coordinate_texts(ps))

@@ -11,7 +11,7 @@ import json
 from .analysis import StatsReport
 from .dual import ExitGraph
 from .geometry import PointSet
-from .pointfile import format_coordinate
+from .pointfile import _coordinate_texts, format_coordinate
 
 SCHEMA_VERSION = 1
 
@@ -28,7 +28,7 @@ def build_report(ps: PointSet, edges: ExitGraph,
     doc = {
         "schema": SCHEMA_VERSION,
         "n": len(ps),
-        "points": [[format_coordinate(p.x), format_coordinate(p.y)] for p in ps.points],
+        "points": _coordinate_texts(ps),
         "exit_edges": edges,
     }
     if stats is not None:
@@ -49,18 +49,8 @@ def build_report(ps: PointSet, edges: ExitGraph,
     return doc
 
 
-def edge_rows(edges: ExitGraph, n: int, template: str, sep: str) -> str:
-    """The rows of edges joined by sep, each row the template, with its
-    four ``%d`` filled by a, b, w0 and w1; a row with one witness drops
-    the last ``%d`` and the text between it and the third.
-
-    Every row is fixed text around labels in 0..n-1, so the rows are
-    gathered from four tables built once per label, not formatted one by
-    one: ``pa[a]`` holds sep, the row head and a, ``tail[w1]`` the second
-    witness and the row's end, and ``tail[-1]``, the entry past the last
-    label, the one-witness end.  Each column goes through ``tolist()``,
-    which numpy arrays and ``array.array``s both have, one at a time.
-    """
+def _edge_pieces(edges: ExitGraph, n: int, template: str, sep: str) -> list[str]:
+    """The pieces that edge_rows joins, four per edge."""
     head, mid, wopen, wsep, close = template.split("%d")
     labels = [str(v) for v in range(n)]
     pa = [f"{sep}{head}{v}{mid}" for v in labels]
@@ -73,7 +63,22 @@ def edge_rows(edges: ExitGraph, n: int, template: str, sep: str) -> str:
     flat[3::4] = map(tail.__getitem__, edges.w1.tolist())
     if flat:
         flat[0] = flat[0][len(sep):]
-    return "".join(flat)
+    return flat
+
+
+def edge_rows(edges: ExitGraph, n: int, template: str, sep: str) -> str:
+    """The rows of edges joined by sep, each row the template, with its
+    four ``%d`` filled by a, b, w0 and w1; a row with one witness drops
+    the last ``%d`` and the text between it and the third.
+
+    Every row is fixed text around labels in 0..n-1, so the rows are
+    gathered from four tables built once per label, not formatted one by
+    one: ``pa[a]`` holds sep, the row head and a, ``tail[w1]`` the second
+    witness and the row's end, and ``tail[-1]``, the entry past the last
+    label, the one-witness end.  Each column goes through ``tolist()``,
+    which numpy arrays and ``array.array``s both have, one at a time.
+    """
+    return "".join(_edge_pieces(edges, n, template, sep))
 
 
 # One row of each bulk array as json.dumps(doc, indent=2) lays it out:
@@ -85,8 +90,8 @@ _EDGE_ROW = ('    {\n      "endpoints": [\n        %d,\n        %d\n      ],\n'
              '      "witnesses": [\n        %d,\n        %d\n      ]\n    }')
 
 
-def _array(rows: str) -> list[str]:
-    return ["[\n", rows, "\n  ]"] if rows else ["[]"]
+def _array(pieces: list[str]) -> list[str]:
+    return ["[\n", *pieces, "\n  ]"] if pieces else ["[]"]
 
 
 def render_json(doc: dict) -> str:
@@ -97,17 +102,19 @@ def render_json(doc: dict) -> str:
     ``indent`` makes json fall back to its pure-Python encoder, which on
     large sets costs more than computing the exit edges, so the two bulk
     arrays are written directly: the points with one template per row,
-    the edges by edge_rows from the ExitGraph's columns.  The other keys
-    go through json.dumps.  Everything is joined once at the end, so the
-    rows are copied once more, not once per level of nesting.
+    the edges from edge_rows' pieces, gathered from the ExitGraph's
+    columns.  The other keys go through json.dumps.  Everything is
+    joined once at the end, so the text is built once, not once per
+    level of nesting.
     """
     parts = ["{"]
     for key, value in doc.items():
         parts.append(f"\n  {json.dumps(key)}: ")
         if key == "points":
-            parts += _array(",\n".join([_POINT_ROW % (x, y) for x, y in value]))
+            rows = ",\n".join([_POINT_ROW % (x, y) for x, y in value])
+            parts += _array([rows] if rows else [])
         elif key == "exit_edges":
-            parts += _array(edge_rows(value, doc["n"], _EDGE_ROW, ",\n"))
+            parts += _array(_edge_pieces(value, doc["n"], _EDGE_ROW, ",\n"))
         else:
             parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
         parts.append(",")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -21,9 +22,9 @@ from exitgraph import (
     point,
     segments_cross,
     shear_to_generic,
+    trusted_point_set,
 )
-from conftest import random_sets
-from exitgraph.geometry import _as_point, _first_duplicate
+from conftest import mixed_sets, random_sets
 
 P = point
 
@@ -81,15 +82,23 @@ def test_certify_reports_first_duplicate():
     assert err.value.labels == (0, 2)
 
 
+def _lcm_grid(points):
+    """Reference grid form: (x*s, y*s) per point, s the lcm of every
+    coordinate's denominator, all in Fractions."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    scale = lcm(1, *(v.denominator for p in pts for v in p))
+    return tuple((int(x * scale), int(y * scale)) for x, y in pts), scale
+
+
 def _certify_cubic(points):
-    """Reference certification: the plain triple loop over labels."""
-    pts = [_as_point(p) for p in points]
-    dup = _first_duplicate(pts)
-    if dup is not None:
-        raise DuplicatePointError(*dup)
-    ps = PointSet(tuple(pts))
-    grid = ps.int_coords
+    """Reference certification: the first coinciding pair by a pair loop,
+    then the plain triple loop over labels, on the reference lcm grid."""
+    grid, scale = _lcm_grid(points)
     n = len(grid)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if grid[i] == grid[j]:
+                raise DuplicatePointError(i, j)
     for i in range(n):
         xi, yi = grid[i]
         for j in range(i + 1, n):
@@ -98,7 +107,7 @@ def _certify_cubic(points):
             for k in range(j + 1, n):
                 if dx1 * (grid[k][1] - yi) == dy1 * (grid[k][0] - xi):
                     raise CollinearTripleError(i, j, k)
-    return ps
+    return PointSet(grid, scale)
 
 
 def _outcome(certify, pts):
@@ -144,6 +153,68 @@ def test_certify_matches_cubic_reference():
         raised[expected[0] if isinstance(expected, tuple) else PointSet] += 1
     # the corpus exercises all three outcomes
     assert min(raised.values()) >= 100, raised
+
+
+_HUGE = 2 ** 1100
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (5, -2), (3, 7)],
+    [("0", "-1/2"), ("5/6", "2"), ("3", "7/4")],
+    [(Fraction(1, 3), Fraction(-2, 9)), (Fraction(4), Fraction(5, 6)), (2, 1)],
+    [(1, "2/3"), (Fraction(5, 7), -4), ("-9/14", Fraction(1, 6))],
+    [(3 * _HUGE, -_HUGE), (Fraction(_HUGE, 7), 5), ("1/" + str(_HUGE), 2)],
+])
+def test_grid_and_scale_match_lcm_reference(points):
+    ps = trusted_point_set(points)
+    assert (ps.int_coords, ps.scale) == _lcm_grid(points)
+    assert all(type(v) is int for p in ps.int_coords for v in p)
+    assert [tuple(p) for p in ps.points] == [(Fraction(x), Fraction(y)) for x, y in points]
+
+
+def test_equal_sets_from_different_input_forms_are_equal():
+    forms = [
+        [(Fraction(1, 2), 3), (2, Fraction(-4, 6)), (0, 0)],
+        [("1/2", "3"), ("2", "-2/3"), ("0", "0")],
+        [(Fraction(1, 2), Fraction(3)), (Fraction(2), Fraction(-2, 3)), (Fraction(0), 0)],
+        [point("1/2", 3), point(2, "-2/3"), point(0, 0)],
+        PointSet(((3, 18), (12, -4), (0, 0)), 6).points,
+    ]
+    sets = [trusted_point_set(f) for f in forms]
+    sets.append(PointSet(((6, 36), (24, -8), (0, 0)), 12))  # reduced on construction
+    for ps in sets:
+        assert ps == sets[0] and hash(ps) == hash(sets[0])
+        assert ps.int_coords == ((3, 18), (12, -4), (0, 0)) and ps.scale == 6
+    assert trusted_point_set([(1, 0), (0, 1), (1, 1)]) != trusted_point_set([(2, 0), (0, 2), (2, 2)])
+    with pytest.raises(ValueError):
+        PointSet(((0, 0),), 0)
+
+
+def test_points_round_trip():
+    for _kind, ps in mixed_sets(30, 3, 12, seed=4242):
+        assert trusted_point_set(ps.points) == ps
+        assert all(ps[i] == p for i, p in enumerate(ps.points))
+        for (x, y), p in zip(ps.int_coords, ps.points):
+            assert (p.x * ps.scale, p.y * ps.scale) == (x, y)
+
+
+def test_sheared_grid_matches_fraction_shear():
+    rng = random.Random(5151)
+    nonzero = 0
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        q = rng.randint(1, 4)
+        # few distinct x values force a shear; denominators exercise the
+        # reduction of (q*x + p*y, q*y) over q*scale
+        pts = {(Fraction(rng.randint(-2, 2), q), Fraction(rng.randint(-30, 30), rng.randint(1, 6)))
+               for _ in range(n)}
+        ps = trusted_point_set(sorted(pts))
+        sheared, lam = shear_to_generic(ps)
+        expected = trusted_point_set([(p.x + lam * p.y, p.y) for p in ps.points])
+        assert (sheared.int_coords, sheared.scale) == (expected.int_coords, expected.scale)
+        assert (sheared.int_coords, sheared.scale) == _lcm_grid(expected.points)
+        nonzero += lam != 0
+    assert nonzero >= 150
 
 
 def test_hull_square_and_triangle(unit_square, triangle):

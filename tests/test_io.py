@@ -145,6 +145,21 @@ def test_round_trip_rational_coordinates(six_points):
     assert parse_points(serialize_points(sheared)) == sheared
 
 
+def test_coordinate_text_from_a_grid_with_scale():
+    # scale 42; each coordinate reduces to its own lowest terms
+    ps = certify_general_position(
+        [(Fraction(1, 6), Fraction(-5, 7)), (3, Fraction(2, 3)), (Fraction(-8, 14), 0)])
+    assert ps.scale == 42
+    texts = [["1/6", "-5/7"], ["3", "2/3"], ["-4/7", "0"]]
+    assert serialize_points(ps) == "".join(f"{x} {y}\n" for x, y in texts)
+    doc = build_report(ps, exit_edges_dual(ps))
+    assert doc["points"] == texts
+    assert json.loads(render_json(doc))["points"] == texts
+    big = 2 ** 1100
+    ps = certify_general_position([(Fraction(big, 3), 1), (0, Fraction(1, big)), (5, 5)])
+    assert serialize_points(ps) == f"{big}/3 1\n0 1/{big}\n5 5\n"
+
+
 def test_format_number_significant_digits():
     assert format_number(Fraction(1, 3)) == "0.33333333333333333333"
     assert format_number(Fraction(-1, 2)) == "-0.5"
