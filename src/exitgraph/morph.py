@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt
 from typing import Sequence
 
 from .geometry import GeometryError, PointSet, SizeMismatchError, _grid
@@ -95,7 +95,21 @@ class QuadraticRoot:
         return self.q == 0
 
     def __float__(self) -> float:
-        return (self.p + self.q * sqrt(self.d)) / self.r
+        # q*sqrt(d) is +-sqrt(m) with m = q*q*d; isqrt of m * 4^k gives it
+        # to k fractional bits, k growing until the numerator keeps 64 bits
+        # past any cancellation with p, and one integer division rounds, so
+        # terms past the float range do not overflow
+        m = self.q * self.q * self.d
+        sign = 1 if self.q > 0 else -1
+        root = isqrt(m)
+        if root * root == m:
+            return (self.p + sign * root) / self.r
+        k = 64
+        while True:
+            num = (self.p << k) + sign * isqrt(m << 2 * k)
+            if num.bit_length() > 64:
+                return num / (self.r << k)
+            k *= 2
 
     def _cmp(self, other) -> int:
         if isinstance(other, int):

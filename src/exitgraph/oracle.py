@@ -3,7 +3,9 @@
 Two independent reference computations of the exit-edge set:
 
 * the double-wedge definition, applied triple by triple (O(n^4)), and
-* the empty-quadrilateral characterization on 4-holes.
+* the empty-quadrilateral characterization on 4-holes, each hole built
+  as two empty triangles glued along a shared edge, and each empty
+  triangle read from bit masks of the points left of its sides.
 
 Both are deliberately simple; they serve as ground truth for the
 quadratic dual-arrangement path.
@@ -132,89 +134,72 @@ def witness_side(ps: PointSet, a: int, b: int, c: int) -> int:
 
 
 def _empty_triangles(ps: PointSet) -> set[tuple[int, int, int]]:
+    """Triples i < j < k whose triangle has no other point strictly inside.
+
+    Bit p of left[i][j] is set iff p lies strictly left of i->j; a point
+    is inside a counterclockwise triangle iff it lies left of all three
+    of its sides.
+    """
     grid = ps.int_coords
     n = len(grid)
-    empty = set()
+    left = [[0] * n for _ in range(n)]
     for i in range(n):
         xi, yi = grid[i]
+        for j in range(n):
+            dx, dy = grid[j][0] - xi, grid[j][1] - yi
+            for p in range(n):
+                xp, yp = grid[p]
+                if dx * (yp - yi) - dy * (xp - xi) > 0:
+                    left[i][j] |= 1 << p
+    empty = set()
+    for i in range(n):
         for j in range(i + 1, n):
-            xj, yj = grid[j]
-            dx1, dy1 = xj - xi, yj - yi
             for k in range(j + 1, n):
-                xk, yk = grid[k]
-                dx2, dy2 = xk - xi, yk - yi
-                ok = True
-                for p in range(n):
-                    if p == i or p == j or p == k:
-                        continue
-                    xp, yp = grid[p]
-                    s1 = dx1 * (yp - yi) - dy1 * (xp - xi)
-                    s2 = (xk - xj) * (yp - yj) - (yk - yj) * (xp - xj)
-                    s3 = -dx2 * (yp - yi) + dy2 * (xp - xi)
-                    if (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0):
-                        ok = False
-                        break
-                if ok:
+                if left[i][j] >> k & 1:  # (i, j, k) is counterclockwise
+                    inside = left[i][j] & left[j][k] & left[k][i]
+                else:
+                    inside = left[i][k] & left[k][j] & left[j][i]
+                if not inside:
                     empty.add((i, j, k))
     return empty
 
 
-def _quad_cycle(ps: PointSet, cycle: tuple[int, int, int, int],
-                empty: set[tuple[int, int, int]]) -> FourHole | None:
-    """FourHole for the cycle if it is a simple empty quadrilateral.
-
-    A 4-cycle is simple and empty iff one of its diagonals splits it into
-    two empty triangles with the remaining vertices on opposite sides.
-    """
-    grid = ps.int_coords
-    p0, p1, p2, p3 = cycle
-
-    def ori(i, j, k):
-        (xi, yi), (xj, yj), (xk, yk) = grid[i], grid[j], grid[k]
-        v = (xj - xi) * (yk - yi) - (yj - yi) * (xk - xi)
-        return (v > 0) - (v < 0)
-
-    def split_ok(d0, d1, u, v):
-        if ori(d0, d1, u) * ori(d0, d1, v) >= 0:
-            return False
-        t1 = tuple(sorted((d0, d1, u)))
-        t2 = tuple(sorted((d0, d1, v)))
-        return t1 in empty and t2 in empty
-
-    if not (split_ok(p0, p2, p1, p3) or split_ok(p1, p3, p0, p2)):
-        return None
-    turns = [ori(cycle[i - 1], cycle[i], cycle[(i + 1) % 4]) for i in range(4)]
-    area2 = 0
-    for i in range(4):
-        (x1, y1), (x2, y2) = grid[cycle[i]], grid[cycle[(i + 1) % 4]]
-        area2 += x1 * y2 - x2 * y1
-    verts = cycle
-    if area2 < 0:
-        verts = (cycle[0], cycle[3], cycle[2], cycle[1])
-        turns = [-t for t in turns]
-        turns = [turns[0], turns[3], turns[2], turns[1]]
-    reflex = [verts[i] for i in range(4) if turns[i] < 0]
-    start = verts.index(min(verts))
-    verts = verts[start:] + verts[:start]
-    return FourHole(verts, convex=not reflex, reflex_vertex=reflex[0] if reflex else None)
-
-
 def enumerate_four_holes(ps: PointSet) -> list[FourHole]:
     """Every 4-hole of the point set, each reported once (counterclockwise,
-    rotated to start at its smallest label)."""
-    n = len(ps)
-    empty = _empty_triangles(ps)
-    holes = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    for cycle in ((i, j, k, l), (i, k, j, l), (i, j, l, k)):
-                        hole = _quad_cycle(ps, cycle, empty)
-                        if hole is not None:
-                            holes.append(hole)
-    holes.sort(key=lambda h: h.vertices)
-    return holes
+    rotated to start at its smallest label).
+
+    A 4-cycle is a simple empty quadrilateral iff one of its diagonals
+    splits it into two empty triangles with the other two vertices on
+    opposite sides.  So the holes are the empty triangles glued in pairs
+    along a shared edge d0d1: apex u right of d0->d1 and apex v left of
+    it give the counterclockwise hole (d0, u, d1, v).  A convex hole is
+    glued along both of its diagonals, a non-convex one only along the
+    diagonal at its reflex vertex.
+    """
+    grid = ps.int_coords
+
+    def turn(i, j, k):
+        (xi, yi), (xj, yj), (xk, yk) = grid[i], grid[j], grid[k]
+        return (xj - xi) * (yk - yi) - (yj - yi) * (xk - xi)
+
+    apexes: dict[tuple[int, int], list[int]] = {}
+    for i, j, k in _empty_triangles(ps):
+        for d0, d1, apex in ((i, j, k), (i, k, j), (j, k, i)):
+            apexes.setdefault((d0, d1), []).append(apex)
+    holes: dict[tuple[int, int, int, int], FourHole] = {}
+    for (d0, d1), tops in apexes.items():
+        right = [u for u in tops if turn(d0, d1, u) < 0]
+        left = [v for v in tops if turn(d0, d1, v) > 0]
+        for u in right:
+            for v in left:
+                cycle = (d0, u, d1, v)
+                reflex = [cycle[t] for t in range(4)
+                          if turn(cycle[t - 1], cycle[t], cycle[(t + 1) % 4]) < 0]
+                start = cycle.index(min(cycle))
+                verts = cycle[start:] + cycle[:start]
+                holes[verts] = FourHole(verts, convex=not reflex,
+                                        reflex_vertex=reflex[0] if reflex else None)
+    return [holes[v] for v in sorted(holes)]
 
 
 def four_holes_at_edge(ps: PointSet, a: int, b: int) -> list[FourHole]:

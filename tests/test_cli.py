@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from exitgraph import (
     point,
     random_general_position,
     serialize_points,
+    trusted_point_set,
 )
 from exitgraph.cli import cli
 from conftest import grid_sets
@@ -322,6 +324,36 @@ def test_morph_witness_line_matches_bruteforce_lookup(tmp_path, capsys):
                              f"witness {c}: {'yes' if holds else 'NO'}")
         assert rc == (0 if holds else 2)
     assert seen >= 10, seen
+
+
+def test_morph_prints_times_past_the_float_range(tmp_path, capsys):
+    # a target scaled by 2^1100 puts the event time's integers past the
+    # float range; with the start scaled too, the times are those of the
+    # unscaled pair, so the printed value has six digits to compare with a
+    # 50-digit Decimal reference
+    def scaled(ps):
+        return trusted_point_set([(p.x * 2 ** 1100, p.y * 2 ** 1100) for p in ps.points])
+
+    rng = random.Random(1100)
+    nonzero = 0
+    for k in range(10):
+        ps = random_general_position(7, rng)
+        target = scaled(random_general_position(7, rng))
+        b_file = tmp_path / f"b{k}.txt"
+        b_file.write_text(serialize_points(target))
+        for start in (ps, scaled(ps)):
+            a_file = tmp_path / f"a{k}.txt"
+            a_file.write_text(serialize_points(start))
+            assert cli(["morph", str(a_file), str(b_file)]) == 0
+            t = first_collinearity_morph(start, target.points).time
+            with localcontext() as ctx:
+                ctx.prec = 50
+                ref = (Decimal(t.p) + Decimal(t.q) * Decimal(t.d).sqrt()) / Decimal(t.r)
+            approx = f"{float(ref):.6g}"
+            first = capsys.readouterr().out.splitlines()[0]
+            assert first == f"first collinearity at t = {t} (~{approx})"
+            nonzero += approx != "0"
+    assert nonzero >= 10, nonzero
 
 
 def test_morph_no_event(square_file, capsys):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,20 @@ def test_quadratic_root_near_ties_resolved_exactly():
     c = QuadraticRoot.make(-7, 1, 50, 1)  # sqrt(50) - 7 ~ 0.0710
     d = QuadraticRoot.make(5, 1, 2, 88)  # (5 + sqrt2)/88 ~ 0.0729
     assert c < d
+
+
+def test_quadratic_root_float_is_one_rounding_of_the_exact_value():
+    # p and q*sqrt(d) nearly cancel, or every term is past the float range
+    roots = [QuadraticRoot.make(-(10 ** 30), 1, 10 ** 60 + 1, 1),  # ~5e-31
+             QuadraticRoot.make(10 ** 40, -1, 10 ** 80 - 7, 3),
+             QuadraticRoot.make(3 << 1100, -1, 5 << 2200, 7 << 1100),  # (3 - sqrt5)/7
+             QuadraticRoot.make(-1, 1, 2, 1 << 1100)]  # below the float range: 0.0
+    for t in roots:
+        with localcontext() as ctx:
+            ctx.prec = 200
+            ref = (Decimal(t.p) + Decimal(t.q) * Decimal(t.d).sqrt()) / Decimal(t.r)
+        assert float(t) == float(ref), t
+    assert roots[2].d > 1 << 2200 and float(roots[0]) > 0 and float(roots[-1]) == 0.0
 
 
 def test_between_events_are_exit_edges_with_the_witness():

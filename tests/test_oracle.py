@@ -1,5 +1,8 @@
+from array import array
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from exitgraph import (
@@ -8,14 +11,16 @@ from exitgraph import (
     convex_hull,
     enumerate_four_holes,
     exit_edges_bruteforce,
+    exit_edges_dual,
     exit_edges_via_holes,
     four_holes_at_edge,
     is_exit_edge_with_witness,
     shear_to_generic,
+    trusted_point_set,
     witness_side,
 )
-from exitgraph.oracle import internal_edge_has_two_sided_support
-from conftest import random_sets
+from exitgraph.oracle import FourHole, internal_edge_has_two_sided_support
+from conftest import mixed_sets, random_sets
 
 
 def test_triangle_every_pair_vacuously_exits(triangle):
@@ -94,6 +99,62 @@ def test_reported_four_holes_are_simple_and_empty():
             assert area2 > 0
 
 
+def _turn(ps, a, b, c):
+    """Twice the signed area of triangle abc, on the Fraction points."""
+    pa, pb, pc = ps[a], ps[b], ps[c]
+    return (pb.x - pa.x) * (pc.y - pa.y) - (pb.y - pa.y) * (pc.x - pa.x)
+
+
+def _sides_cross(ps, a, b, c, d):
+    return _turn(ps, a, b, c) * _turn(ps, a, b, d) < 0 and _turn(ps, c, d, a) * _turn(ps, c, d, b) < 0
+
+
+def _inside_triangle(ps, p, a, b, c):
+    return len({_turn(ps, a, b, p) > 0, _turn(ps, b, c, p) > 0, _turn(ps, c, a, p) > 0}) == 1
+
+
+def _four_holes_by_definition(ps):
+    """Every 4-cycle whose opposite sides do not cross and that has no
+    other point strictly inside, made counterclockwise by the sign of its
+    shoelace area and rotated to its smallest label; the reflex vertex is
+    the one inside the triangle of the other three."""
+    holes = []
+    for quad in combinations(ps.labels(), 4):
+        i, j, k, l = quad
+        for cycle in ((i, j, k, l), (i, k, j, l), (i, j, l, k)):
+            a, b, c, d = cycle
+            if _sides_cross(ps, a, b, c, d) or _sides_cross(ps, b, c, d, a):
+                continue
+            if any(_point_strictly_inside_simple_quad(ps, cycle, p)
+                   for p in ps.labels() if p not in quad):
+                continue
+            area2 = sum(ps[cycle[t]].x * ps[cycle[(t + 1) % 4]].y
+                        - ps[cycle[(t + 1) % 4]].x * ps[cycle[t]].y for t in range(4))
+            if area2 < 0:
+                cycle = (a, d, c, b)
+            start = cycle.index(min(cycle))
+            verts = cycle[start:] + cycle[:start]
+            reflex = [v for v in verts if _inside_triangle(ps, v, *(u for u in verts if u != v))]
+            holes.append(FourHole(verts, convex=not reflex,
+                                  reflex_vertex=reflex[0] if reflex else None))
+    return sorted(holes, key=lambda h: h.vertices)
+
+
+def test_four_holes_match_the_definition():
+    kinds = set()
+    sets = [*random_sets(20, 4, 10, seed=909)]
+    for kind, ps in mixed_sets(12, 4, 10, seed=910):
+        kinds.add(kind)
+        sets.append(ps)
+    assert kinds == {"int", "rational", "big"}
+    nonconvex = 0
+    for ps in sets:
+        holes = enumerate_four_holes(ps)
+        assert holes == _four_holes_by_definition(ps)
+        nonconvex += sum(not h.convex for h in holes)
+    assert nonconvex > 100, nonconvex
+
+
 def test_four_holes_at_edge_square_and_triangle(unit_square, triangle):
     holes = four_holes_at_edge(unit_square, 0, 1)
     assert len(holes) == 1 and holes[0].convex
@@ -116,6 +177,22 @@ def test_hole_characterization_matches_bruteforce():
     for ps in random_sets(6, 13, 14, seed=607):
         brute_pairs = frozenset(e.endpoints for e in exit_edges_bruteforce(ps))
         assert exit_edges_via_holes(ps) == brute_pairs
+
+
+def test_oracles_agree_with_both_backends_from_64_points():
+    # from 64 points exit_edges_dual runs the numpy scan, and on a copy
+    # scaled by 2^40 the pure-Python big-coordinate scan; a positive scale
+    # keeps every orientation, so the oracles run on the unscaled set only
+    for ps in random_sets(10, 64, 96, seed=6496):
+        brute = exit_edges_bruteforce(ps)
+        dual = exit_edges_dual(ps)
+        assert isinstance(dual.a, np.ndarray)
+        assert dual == brute
+        assert exit_edges_via_holes(ps) == frozenset(e.endpoints for e in brute)
+        big = trusted_point_set([(p.x * 2 ** 40, p.y * 2 ** 40) for p in ps.points])
+        big_dual = exit_edges_dual(big)
+        assert isinstance(big_dual.a, array)
+        assert big_dual == brute
 
 
 def test_exit_edges_invariant_under_shear():
