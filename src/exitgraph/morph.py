@@ -111,6 +111,36 @@ class QuadraticRoot:
                 return num / (self.r << k)
             k *= 2
 
+    def _floor_times(self, scale: int) -> int:
+        """floor(self * scale) for a positive integer scale, exactly."""
+        # floor((a + x) / r) = floor((a + floor(x)) / r) for integers a and
+        # r > 0, and -sqrt(m) is floored by ceiling sqrt(m) = isqrt(m-1) + 1
+        m = self.q * self.q * self.d * scale * scale
+        root = isqrt(m) if self.q >= 0 else -isqrt(m - 1) - 1
+        return (self.p * scale + root) // self.r
+
+    def significant(self, digits: int) -> str:
+        """A value in (0, 1) rounded half-even to ``digits`` significant
+        digits, in float's exponent form (``1.14461e-332``): exact also
+        below the float range."""
+        # j is the least power of ten with value * 10^j >= least: doubled
+        # past it, then bisected
+        least = 10 ** (digits - 1)
+        low, j = 0, 1
+        while self._floor_times(10 ** j) < least:
+            low, j = j, 2 * j
+        while j - low > 1:
+            mid = (low + j) // 2
+            low, j = (mid, j) if self._floor_times(10 ** mid) < least else (low, mid)
+        if self.q == 0:
+            n = round(Fraction(self.p * 10 ** j, self.r))
+        else:  # an irrational value is never halfway
+            n = (self._floor_times(2 * 10 ** j) + 1) // 2
+        if n == 10 ** digits:
+            n, j = n // 10, j - 1
+        s = str(n)
+        return f"{(s[0] + '.' + s[1:]).rstrip('0').rstrip('.')}e{digits - 1 - j:+03d}"
+
     def _cmp(self, other) -> int:
         if isinstance(other, int):
             other = Fraction(other)

@@ -287,6 +287,18 @@ def test_render_both_modes(square_file, tmp_path, capsys):
     assert 'class="exit-vertex"' in out.read_text()
 
 
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_render_refuses_fewer_than_three_points(count, tmp_path, capsys):
+    # both figures give the size error of their scan, before any geometry
+    f, out = tmp_path / "few.txt", tmp_path / "fig.svg"
+    f.write_text("".join(f"{i} {i * i}\n" for i in range(count)))
+    for extra, message in (([], "exit edges need at least 3 points"),
+                           (["--dual"], "dual triangle scan needs at least 3 points")):
+        assert cli(["render", str(f), "--out", str(out), *extra]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
 def test_morph_reports_event(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -326,16 +338,26 @@ def test_morph_witness_line_matches_bruteforce_lookup(tmp_path, capsys):
     assert seen >= 10, seen
 
 
+def _six_digits(ref: Decimal) -> str:
+    """A positive Decimal as float's .6g writes it: below the normal floats
+    in exponent form, trailing zeros stripped, e.g. 1.14461e-332."""
+    if float(ref) >= sys.float_info.min:
+        return f"{float(ref):.6g}"
+    mantissa, exponent = format(ref, ".5e").split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent):+03d}"
+
+
 def test_morph_prints_times_past_the_float_range(tmp_path, capsys):
     # a target scaled by 2^1100 puts the event time's integers past the
     # float range; with the start scaled too, the times are those of the
-    # unscaled pair, so the printed value has six digits to compare with a
-    # 50-digit Decimal reference
+    # unscaled pair, and with the start unscaled they fall far below the
+    # smallest float: either way the printed value has six digits to
+    # compare with a 50-digit Decimal reference
     def scaled(ps):
         return trusted_point_set([(p.x * 2 ** 1100, p.y * 2 ** 1100) for p in ps.points])
 
     rng = random.Random(1100)
-    nonzero = 0
+    nonzero = tiny = 0
     for k in range(10):
         ps = random_general_position(7, rng)
         target = scaled(random_general_position(7, rng))
@@ -349,11 +371,12 @@ def test_morph_prints_times_past_the_float_range(tmp_path, capsys):
             with localcontext() as ctx:
                 ctx.prec = 50
                 ref = (Decimal(t.p) + Decimal(t.q) * Decimal(t.d).sqrt()) / Decimal(t.r)
-            approx = f"{float(ref):.6g}"
+            approx = _six_digits(ref)
             first = capsys.readouterr().out.splitlines()[0]
             assert first == f"first collinearity at t = {t} (~{approx})"
             nonzero += approx != "0"
-    assert nonzero >= 10, nonzero
+            tiny += float(ref) < sys.float_info.min
+    assert nonzero == 20 and tiny >= 10, (nonzero, tiny)
 
 
 def test_morph_no_event(square_file, capsys):

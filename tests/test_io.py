@@ -22,11 +22,12 @@ from exitgraph import (
     render_svg,
     serialize_points,
     stats_report,
+    trusted_point_set,
 )
 from exitgraph.cli import cli
 from exitgraph.pointfile import format_coordinate
 from exitgraph.svg import format_number
-from conftest import random_sets
+from conftest import mixed_sets, random_sets
 
 
 def test_parse_triangle():
@@ -220,6 +221,62 @@ def test_dual_shading_polygons_respect_the_arrangement():
                          for v in poly}
                 assert not signs >= {-1, 1}, (
                     f"line {src} cuts a rendered piece of cell {tri.lines}")
+
+
+def test_figures_match_the_frozen_writer(triangle, unit_square):
+    # the writer that formatted every number where it was drawn and took
+    # the dual viewport from all n(n-1)/2 crossings, kept in tests/
+    import reference_svg
+
+    sets = [triangle, unit_square, *(ps for _, ps in mixed_sets(30, 3, 14, seed=1515)),
+            *random_sets(4, 64, 100, seed=6410)]
+    sets += [trusted_point_set([(p.x * 2 ** 40, p.y * 2 ** 40) for p in ps.points])
+             for ps in sets]
+    for ps in sets:
+        for mode in ("primal", "dual"):
+            assert render_svg(ps, mode) == reference_svg.render_svg(ps, mode), (len(ps), mode)
+
+
+def _box(points):
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def test_dual_viewport_is_the_box_of_all_crossings():
+    # the extreme crossings join lines adjacent by slope or by 1/slope; a
+    # point at x = 0 after the shear has a horizontal dual line, which
+    # the 1/slope order leaves out
+    from exitgraph import crossing_position, dualize, shear_to_generic
+    from exitgraph.svg import _extreme_crossings
+
+    rng = random.Random(3232)
+    sets = [*random_sets(150, 3, 24, seed=3030),
+            *(ps for _, ps in mixed_sets(90, 3, 14, seed=3131))]
+    sets += [trusted_point_set([(p.x - ps[k].x, p.y) for p in ps.points])
+             for ps in sets[:120] for k in [rng.randrange(len(ps))]]
+    horizontal = 0
+    for ps in sets:
+        lines = dualize(shear_to_generic(ps)[0])
+        every = [crossing_position(a, b) for i, a in enumerate(lines) for b in lines[i + 1:]]
+        assert _box(_extreme_crossings(lines)) == _box(every), ps
+        horizontal += any(line.slope == 0 for line in lines)
+    assert len(sets) >= 300 and horizontal >= 50, (len(sets), horizontal)
+
+
+def test_dual_figure_positions_only_cell_vertices(monkeypatch):
+    import exitgraph.svg as svg
+
+    calls, original = [], svg.crossing_position
+
+    def counted(a, b):
+        calls.append((a.source, b.source))
+        return original(a, b)
+
+    monkeypatch.setattr(svg, "crossing_position", counted)
+    ps = random_general_position(120, random.Random(120))
+    _, _, positions, pieces = svg.dual_cell_polygons(ps)
+    assert set(positions) == {v for t, _, _ in pieces for v in t.vertices}
+    assert len(calls) < 120 * 119 // 2, len(calls)
 
 
 def test_report_document(unit_square):

@@ -95,6 +95,26 @@ def test_quadratic_root_float_is_one_rounding_of_the_exact_value():
     assert roots[2].d > 1 << 2200 and float(roots[0]) > 0 and float(roots[-1]) == 0.0
 
 
+def test_quadratic_root_significant_digits_are_exact():
+    # far below the float range: halfway ties round to even, a round-up
+    # carries into the exponent, and p and q*sqrt(d) nearly cancel
+    r = QuadraticRoot.make
+    cases = [(r(1000005, 0, 0, 10 ** 343), "1e-337"),
+             (r(1000015, 0, 0, 10 ** 343), "1.00002e-337"),
+             (r(9999995, 0, 0, 10 ** 343), "1e-336"),
+             (r(15, 0, 0, 10 ** 400), "1.5e-399"),
+             (r(1, 0, 0, 3 * 10 ** 330), "3.33333e-331"),
+             (r(-(10 ** 200), 1, 10 ** 400 + 7, 2 * 10 ** 200), "1.75e-400"),
+             (r(10 ** 200, -1, 10 ** 400 - 7, 2 * 10 ** 200), "1.75e-400"),
+             (r(10 ** 100, -1, 10 ** 200 - 7, 1), "3.5e-100"),
+             (r(-1, 1, 2, 1 << 1100), "3.0495e-332")]
+    for t, text in cases:
+        assert t.significant(6) == text, t
+    # where float's .6g writes the exponent form, it writes the same text
+    for t in (r(2, 0, 0, 3 * 10 ** 5), r(-1, 1, 2, 1 << 1000), r(-(10 ** 30), 1, 10 ** 60 + 1, 1)):
+        assert t.significant(6) == f"{float(t):.6g}", t
+
+
 def test_between_events_are_exit_edges_with_the_witness():
     rng = random.Random(77)
     seen = 0
