@@ -10,6 +10,7 @@ from .geometry import (
     CollinearTripleError,
     DegenerateLineError,
     DuplicatePointError,
+    ExitEdge,
     GeometryError,
     OnLineError,
     Orientation,
@@ -27,7 +28,6 @@ from .geometry import (
     trusted_point_set,
 )
 from .oracle import (
-    ExitEdge,
     FourHole,
     LabelOutOfRangeError,
     NonDistinctLabelsError,

@@ -11,14 +11,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import compress
 from math import gcd
 
 from .dual import (
     ConcurrentLinesError,
     ExitGraph,
     _dual_coefficients,
+    _exit_codes,
     _exit_graph,
-    _exit_items,
     _witness_set,
     exit_edges_dual,
 )
@@ -72,7 +73,7 @@ def stats_report(ps: PointSet) -> StatsReport:
     """
     if len(ps) < 4:
         raise TooFewPointsError("statistics need at least 4 points")
-    return exit_graph_stats(ps, _exit_graph(_exit_items(*_dual_coefficients(ps)), len(ps)))
+    return exit_graph_stats(ps, _exit_graph(_exit_codes(*_dual_coefficients(ps)), len(ps)))
 
 
 def exit_graph_stats(ps: PointSet, edges: ExitGraph) -> StatsReport:
@@ -89,22 +90,26 @@ def exit_graph_stats(ps: PointSet, edges: ExitGraph) -> StatsReport:
     n = len(ps)
     if n < 4:
         raise TooFewPointsError("statistics need at least 4 points")
-    # the two cells of an hourglass both slice its exit vertex's two lines
+    # one column's list of ints at a time, each freed before the next is
+    # built; two[t] tells whether edge t has two witnesses
     t_by_line = [0] * n
     h_by_line = [0] * n
-    H = 0
-    for a, b, w0, w1 in zip(*edges.columns()):
-        t_by_line[w0] += 1
-        if w1 < 0:
-            cells = 1
-        else:
-            t_by_line[w1] += 1
-            h_by_line[a] += 1
-            h_by_line[b] += 1
-            H += 1
-            cells = 2
-        t_by_line[a] += cells
-        t_by_line[b] += cells
+    two = [w >= 0 for w in edges.w1.tolist()]
+    for w in compress(edges.w1.tolist(), two):
+        t_by_line[w] += 1
+    for w in edges.w0.tolist():
+        t_by_line[w] += 1
+    for column in edges.a, edges.b:
+        ends = column.tolist()
+        for v in ends:
+            t_by_line[v] += 1
+        # the two cells of an hourglass both touch and slice its exit
+        # vertex's two lines
+        for v in compress(ends, two):
+            t_by_line[v] += 1
+            h_by_line[v] += 1
+        del ends
+    H = sum(two)
     hull = convex_hull(ps)
     marked = len(hull) == 3
     if marked:

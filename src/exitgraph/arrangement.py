@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dual import ConcurrentLinesError, DualLine, crossing_position, crossing_tables
+from .dual import ConcurrentLinesError, DualLine, crossing_orders, crossing_position
 from .geometry import GeometryError, _grid
 
 Piece = tuple[int, int, int]  # (line index, piece index 0..m, direction +-1)
@@ -107,7 +107,7 @@ class ProjectiveArrangement:
         a = [s for s, _ in grid]
         b = [t for _, t in grid]
         try:
-            order, rank = crossing_tables(a, b)
+            order, rank = crossing_orders(a, b)
         except ConcurrentLinesError as err:
             i, j, k = err.labels
             raise ConcurrentLinesError(lines[i].source, lines[j].source,

@@ -18,14 +18,22 @@ the curve they form is two-sided: it bounds the cell.
 The crossing orders are exact: ``crossing_tables`` sorts every line's
 crossings on integer keys (``_exact_row``), with no float step;
 ``fastscan.crossing_tables_np`` pre-sorts on floats and re-sorts each
-row it cannot certify with the same ``_exact_row``.
+row it cannot certify with the same ``_exact_row``.  The pure-Python
+path keeps one n x n successor table, nxt[i][j] the crossing that
+follows j on line i, cyclically: whether two crossings are adjacent,
+and which way the arc between them runs, are lookups in it.
+``crossing_orders`` derives
+the linear orders and ranks that the full arrangement needs from the
+same sorted rows.
 
-One pure-Python scan, ``_scan_cells``, makes these tests and yields what
-its numpy counterpart ``fastscan.scan_exit_items_np`` yields: one
-(exit vertex key, witness) item per unmarked cell.  ``_exit_graph``
-groups the items into an ``ExitGraph``, as ``fastscan.exit_graph_np``
-does the numpy items, and every other view reads that
-graph: the exit edge ab with the witness w is the unmarked cell on the
+One pure-Python scan, ``_scan_cells``, makes these tests over the pairs
+j > i of each line i and finds what its numpy counterpart
+``fastscan.scan_exit_items_np`` finds: one exit vertex key a*n + b and
+witness w per unmarked cell, here one integer code (a*n + b)*n + w in a
+list.  ``_exit_graph`` sorts that list once and reads each vertex's
+witnesses from adjacent entries, as ``fastscan.exit_graph_np`` does the
+numpy codes, and every other view reads the ``ExitGraph`` it builds:
+the exit edge ab with the witness w is the unmarked cell on the
 lines a, b and w, and the marked cell, at vertical infinity, is bounded
 by the duals of the convex hull's vertices.  ``exit_edges_dual`` returns
 the graph, ``dual_triangles`` (and through it ``hourglasses`` and the
@@ -43,8 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import GeometryError, PointSet, TooFewPointsError, convex_hull, shear_to_generic
-from .oracle import ExitEdge
+from .geometry import (ExitEdge, GeometryError, PointSet, TooFewPointsError, convex_hull,
+                       shear_to_generic)
 
 
 class NonDistinctSlopesError(GeometryError):
@@ -118,36 +126,50 @@ def _exact_row(a: Sequence[int], qb: Sequence[int], i: int, row: list[int]) -> l
     return row
 
 
-def crossing_tables(a: Sequence[int], b: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
-    """Per-line crossing orders of the lines y = a[i]*x + b[i].
-
-    Returns (order, rank): order[i] lists the other lines sorted by the x
-    of their crossing with line i; rank[i][j] is j's position in order[i],
-    and rank[i][i] = -1, as in fastscan.crossing_tables_np.
-    Every row is sorted on the exact integer keys of ``_exact_row``.
-    """
+def _sorted_rows(a: Sequence[int], b: Sequence[int]) -> Iterator[list[int]]:
+    """Each line's crossings, line by line, sorted by ``_exact_row``;
+    refuses two lines of equal slope before the first row."""
     n = len(a)
     if n < 2:
         raise ValueError("need at least 2 lines")
     seen: dict[int, int] = {}
     for i, ai in enumerate(a):
-        if ai in seen:
+        if seen.setdefault(ai, i) != i:
             raise NonDistinctSlopesError(f"lines {seen[ai]} and {i} have equal slope")
-        seen[ai] = i
-
     qb = _scaled_intercepts(a, b)
     ids = list(range(n))
-    order: list[list[int]] = []
-    rank: list[list[int]] = []
     for i in range(n):
-        row = _exact_row(a, qb, i, ids[:i] + ids[i + 1:])
-        ranks = [-1] * n
-        # ids[pos], not pos: every rank row shares the n int objects of ids
-        for pos, j in enumerate(row):
-            ranks[j] = ids[pos]
-        order.append(row)
-        rank.append(ranks)
-    return order, rank
+        yield _exact_row(a, qb, i, ids[:i] + ids[i + 1:])
+
+
+def crossing_tables(a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
+    """The successor table of the lines y = a[i]*x + b[i].
+
+    nxt[i][j] is the line whose crossing follows j's on line i in the
+    order of x, cyclically: the rightmost crossing is followed by the
+    leftmost, through infinity.  nxt[i][i] = -1.  Every row is sorted on
+    the exact integer keys of ``_exact_row``.
+    """
+    n = len(a)
+    nxt: list[list[int]] = []
+    for row in _sorted_rows(a, b):
+        succ = [-1] * n
+        for j, k in zip(row, row[1:] + row[:1]):
+            succ[j] = k
+        nxt.append(succ)
+    return nxt
+
+
+def crossing_orders(a: Sequence[int], b: Sequence[int]) -> tuple[list[list[int]], list[dict]]:
+    """The linear crossing orders of the lines y = a[i]*x + b[i], which
+    the full arrangement walks.
+
+    Returns (order, rank): order[i] lists the other lines sorted by the x
+    of their crossing with line i, and rank[i] maps each of them to its
+    position in order[i].
+    """
+    order = list(_sorted_rows(a, b))
+    return order, [{j: pos for pos, j in enumerate(row)} for row in order]
 
 
 @dataclass(frozen=True)
@@ -175,52 +197,48 @@ class Hourglass:
     shared_exit_vertex: tuple[int, int]
 
 
-def _scan_cells(order: list[list[int]], rank: list[list[int]]) -> Iterator[tuple[int, int]]:
-    """Yield (a*n + b, w) for every unmarked triangular cell, exactly once,
-    from its smallest line i: the exit vertex a < b and the witness line
-    w, as fastscan.scan_exit_items_np does.  Needs at least 4 lines, so
-    m = n - 1 >= 3 crossings per line.
+def _scan_cells(nxt: list[list[int]]) -> list[int]:
+    """The code (a*n + b)*n + w of every unmarked triangular cell, each
+    found once, from its smallest line i: the exit vertex a < b and the
+    witness line w, as fastscan.scan_exit_items_np finds them.  Needs at
+    least 4 lines, so m = n - 1 >= 3 crossings per line.
 
     The cell's arc on line i joins its crossing with j to the next one,
-    with k (cyclically: the last gap is the arc through infinity).  On
-    line j, the difference d of the ranks of i and k is +-1 for adjacent
-    crossings, +-(m-1) for the two ends of the infinity arc, and anything
-    else for no cell; likewise on line k.  Directing each arc along its
-    line (left to right, or through infinity from the rightmost
-    crossing), the arc on i heads at v_ik, and the arc on j heads at v_ij
-    iff i follows k cyclically (d = 1 or 1 - m).  The three heads give
-    the in-degrees of the three vertices: a directed cycle is the marked
-    cell; otherwise the vertex of in-degree 2 is the exit vertex and the
-    third line is the witness.
+    with k = nxt[i][j] (cyclically: the last gap is the arc through
+    infinity).  Lines i and k are adjacent on line j iff one follows the
+    other there: nxt[j][k] == i or nxt[j][i] == k; likewise on line k.
+    Directing each arc along its line (left to right, or through
+    infinity from the rightmost crossing), the arc on i heads at v_ik,
+    and the arc on j heads at v_ij iff i follows k (nxt[j][k] == i).  The
+    three heads give the in-degrees of the three vertices: a directed
+    cycle is the marked cell; otherwise the vertex of in-degree 2 is the
+    exit vertex and the third line is the witness.
     """
-    n = len(order)
-    m1 = n - 2
-    for i in range(n):
-        row = order[i]
-        for idx in range(n - 1):
-            j = row[idx]
-            if j < i:
-                continue
-            k = row[idx + 1] if idx < m1 else row[0]
+    n = len(nxt)
+    codes: list[int] = []
+    put = codes.append
+    for i, ni in enumerate(nxt):
+        for j, k in enumerate(ni[i + 1:], i + 1):
             if k < i:
                 continue
-            rj = rank[j]
-            dj = rj[i] - rj[k]
-            if dj != 1 and dj != -1 and dj != m1 and dj != -m1:
+            nj = nxt[j]
+            hj = nj[k] == i
+            if not hj and nj[i] != k:
                 continue
-            rk = rank[k]
-            dk = rk[i] - rk[j]
-            if dk != 1 and dk != -1 and dk != m1 and dk != -m1:
+            nk = nxt[k]
+            hk = nk[j] == i
+            if not hk and nk[i] != j:
                 continue
             # three empty arcs bound a cell: an odd number of infinity arcs
             # would make a one-sided curve, which every fourth line crosses
-            if dj == 1 or dj == -m1:
-                if dk == 1 or dk == -m1:
-                    yield i * n + j, k
-            elif dk == 1 or dk == -m1:
-                yield (j * n + k if j < k else k * n + j), i
+            if hj:
+                if hk:
+                    put((i * n + j) * n + k)
+            elif hk:
+                put((j * n + k if j < k else k * n + j) * n + i)
             else:
-                yield i * n + k, j
+                put((i * n + k) * n + j)
+    return codes
 
 
 def _dual_coefficients(ps: PointSet) -> tuple[list[int], list[int]]:
@@ -229,16 +247,17 @@ def _dual_coefficients(ps: PointSet) -> tuple[list[int], list[int]]:
     return [x for x, _ in sheared.int_coords], [-y for _, y in sheared.int_coords]
 
 
-def _exit_items(a: list[int], b: list[int]) -> Iterable[tuple[int, int]]:
-    """The (a*n + b, w) item of every unmarked triangular cell of the
+def _exit_codes(a: list[int], b: list[int]) -> list[int]:
+    """The code (a*n + b)*n + w of every unmarked triangular cell of the
     lines y = a[i]*x + b[i], n >= 3."""
     if len(a) == 3:
         # three lines cut the projective plane into four triangular cells:
         # the marked one, and one cell per witness line, on the vertex
         # where the other two lines cross
         _exact_row(a, _scaled_intercepts(a, b), 0, [1, 2])  # raises if concurrent
-        return (5, 0), (2, 1), (1, 2)
-    return _scan_cells(*crossing_tables(a, b))
+        return [5, 7, 15]  # {0,1} with the witness 2, {0,2} with 1, {1,2} with 0
+    # nested: the successor table lives only as the scan's argument
+    return _scan_cells(crossing_tables(a, b))
 
 
 def _triangle(slope: Sequence[int], lines: Iterable[int], exit_vertex: tuple[int, int] | None,
@@ -272,7 +291,7 @@ def dual_triangles(ps: PointSet) -> list[DualTriangle]:
         raise TooFewPointsError("dual triangle scan needs at least 3 points")
     a, b = _dual_coefficients(ps)
     tris = []
-    for x, y, w0, w1 in zip(*_exit_graph(_exit_items(a, b), len(a)).columns()):
+    for x, y, w0, w1 in zip(*_exit_graph(_exit_codes(a, b), len(a)).columns()):
         for w in (w0,) if w1 < 0 else (w0, w1):
             tris.append(_triangle(a, (x, y, w), (x, y), w))
     hull = convex_hull(ps)
@@ -358,25 +377,29 @@ def _triple_witness_error(key: int, n: int) -> TripleSharedExitVertexError:
     return TripleSharedExitVertexError(f"more than two witnesses for exit vertex {divmod(key, n)}")
 
 
-def _exit_graph(items: Iterable[tuple[int, int]], n: int) -> ExitGraph:
-    """The exit graph of the pure-Python scan's items: each unmarked cell
-    gives one (a*n + b, w), its exit vertex key and witness line."""
-    first: dict[int, int] = {}
-    second: dict[int, int] = {}
-    for key, w in items:
-        if first.setdefault(key, w) != w and second.setdefault(key, w) != w:
+def _exit_graph(codes: list[int], n: int) -> ExitGraph:
+    """The exit graph of the pure-Python scan's codes (a*n + b)*n + w, one
+    per unmarked cell: its exit vertex a < b and witness line w.
+
+    Sorts ``codes`` in place, once, as fastscan.exit_graph_np sorts its
+    codes: each vertex's witnesses are then adjacent entries, ascending,
+    so a second witness is the next entry and a third raises.
+    """
+    codes.sort()
+    a, b, w0, w1 = cols = array("q"), array("q"), array("q"), array("q")
+    last = -1
+    for code in codes:
+        key, w = divmod(code, n)
+        if key != last:
+            last = key
+            a.append(key // n)
+            b.append(key % n)
+            w0.append(w)
+            w1.append(-1)
+        elif w1[-1] < 0:
+            w1[-1] = w
+        else:
             raise _triple_witness_error(key, n)
-    cols = array("q"), array("q"), array("q"), array("q")
-    put_a, put_b, put_w0, put_w1 = (c.append for c in cols)
-    for key in sorted(first):
-        w0, w1 = first[key], second.get(key, -1)
-        if 0 <= w1 < w0:
-            w0, w1 = w1, w0
-        a, b = divmod(key, n)
-        put_a(a)
-        put_b(b)
-        put_w0(w0)
-        put_w1(w1)
     return ExitGraph(*cols)
 
 
@@ -416,4 +439,4 @@ def exit_edges_dual(ps: PointSet) -> ExitGraph:
 
         if fastscan.coords_are_safe(a, b):
             return _exit_edges_vectorized(a, b, n)
-    return _exit_graph(_exit_items(a, b), n)
+    return _exit_graph(_exit_codes(a, b), n)

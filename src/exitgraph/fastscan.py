@@ -1,9 +1,12 @@
 """Vectorized crossing tables, triangle scan and exit graph for large inputs.
 
-The numpy counterparts of dual.crossing_tables, of the cell scan
-dual._scan_cells and of its builder dual._exit_graph, on int64 arrays:
-exit_graph_np groups the scan's (exit vertex, witness) items with one
-sort of their codes key*n + w.  All decisions stay exact: float keys
+The numpy counterparts of the pure-Python tables, cell scan and
+builder of dual.py, on int64 arrays.  Where dual.crossing_tables keeps a
+cyclic successor table, crossing_tables_np keeps the order and rank
+tables, and scan_exit_items_np reads adjacency from rank differences;
+both scans find the same (exit vertex, witness) pairs, and
+exit_graph_np groups them, as dual._exit_graph does, with one sort of
+their codes key*n + w.  All decisions stay exact: float keys
 only pre-sort the crossings, and every adjacent pair is then certified by
 an integer sign test; the int64 products cannot overflow because callers
 guard the coordinate magnitude with MAX_SAFE_COORD.  Rows that fail

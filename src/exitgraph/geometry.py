@@ -148,6 +148,28 @@ class PointSet:
         return range(len(self.int_coords))
 
 
+@dataclass(frozen=True, order=True)
+class ExitEdge:
+    """An exit edge: endpoint labels plus its one or two witnesses."""
+
+    endpoints: tuple[int, int]
+    witnesses: frozenset[int]
+
+    def __post_init__(self):
+        a, b = self.endpoints
+        if a >= b:
+            raise ValueError("endpoints must be sorted ascending")
+        if not 1 <= len(self.witnesses) <= 2:
+            raise ValueError("an exit edge has one or two witnesses")
+        if a in self.witnesses or b in self.witnesses:
+            raise ValueError("witnesses must be disjoint from endpoints")
+
+    def __str__(self) -> str:
+        a, b = self.endpoints
+        ws = ",".join(str(w) for w in sorted(self.witnesses))
+        return f"{{{a},{b}}} witnesses {{{ws}}}"
+
+
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
     """Exact turn direction of (p, q, r): sign of det(q - p, r - p)."""
     return Orientation(turn((p.x, p.y), (q.x, q.y), (r.x, r.y)))

@@ -14,8 +14,9 @@ quadratic dual-arrangement path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .geometry import GeometryError, PointSet, TooFewPointsError, convex_hull
+from .geometry import ExitEdge, GeometryError, PointSet, TooFewPointsError, convex_hull
 
 
 class LabelOutOfRangeError(GeometryError):
@@ -26,28 +27,6 @@ class NonDistinctLabelsError(GeometryError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class ExitEdge:
-    """An exit edge: endpoint labels plus its one or two witnesses."""
-
-    endpoints: tuple[int, int]
-    witnesses: frozenset[int]
-
-    def __post_init__(self):
-        a, b = self.endpoints
-        if a >= b:
-            raise ValueError("endpoints must be sorted ascending")
-        if not 1 <= len(self.witnesses) <= 2:
-            raise ValueError("an exit edge has one or two witnesses")
-        if a in self.witnesses or b in self.witnesses:
-            raise ValueError("witnesses must be disjoint from endpoints")
-
-    def __str__(self) -> str:
-        a, b = self.endpoints
-        ws = ",".join(str(w) for w in sorted(self.witnesses))
-        return f"{{{a},{b}}} witnesses {{{ws}}}"
-
-
 @dataclass(frozen=True)
 class FourHole:
     """An empty simple quadrilateral, vertices in counterclockwise order."""
@@ -55,13 +34,6 @@ class FourHole:
     vertices: tuple[int, int, int, int]
     convex: bool
     reflex_vertex: int | None
-
-    def has_side(self, a: int, b: int) -> bool:
-        v = self.vertices
-        for i in range(4):
-            if {v[i], v[(i + 1) % 4]} == {a, b}:
-                return True
-        return False
 
     def directed_sides(self) -> list[tuple[int, int]]:
         v = self.vertices
@@ -202,10 +174,23 @@ def enumerate_four_holes(ps: PointSet) -> list[FourHole]:
     return [holes[v] for v in sorted(holes)]
 
 
+@lru_cache(maxsize=1)
+def _holes_by_side(ps: PointSet) -> dict[tuple[int, int], list[FourHole]]:
+    """The 4-holes of the set indexed by each side (u, v), u < v, in the
+    order of enumerate_four_holes.  The index of the last set asked for
+    is kept, so that diagnostics run edge by edge on one set enumerate
+    its holes once."""
+    index: dict[tuple[int, int], list[FourHole]] = {}
+    for h in enumerate_four_holes(ps):
+        for u, v in h.directed_sides():
+            index.setdefault((u, v) if u < v else (v, u), []).append(h)
+    return index
+
+
 def four_holes_at_edge(ps: PointSet, a: int, b: int) -> list[FourHole]:
     """All 4-holes having segment ab as a side."""
     _check_labels(ps, (a, b))
-    return [h for h in enumerate_four_holes(ps) if h.has_side(a, b)]
+    return list(_holes_by_side(ps).get((a, b) if a < b else (b, a), ()))
 
 
 def _hull_edge_set(ps: PointSet) -> set[tuple[int, int]]:
@@ -255,10 +240,7 @@ def exit_edges_via_holes(ps: PointSet) -> frozenset[tuple[int, int]]:
 def internal_edge_has_two_sided_support(ps: PointSet, edge: ExitEdge) -> bool:
     """Diagnostic for an internal exit edge: it has a witness on each side,
     or it is incident to a 4-hole on at least one side."""
-    a, b = edge.endpoints
-    if tuple(sorted((a, b))) in _hull_edge_set(ps):
+    if edge.endpoints in _hull_edge_set(ps):
         raise ValueError("diagnostic applies to internal edges only")
-    sides = {witness_side(ps, a, b, c) for c in edge.witnesses}
-    if sides == {-1, 1}:
-        return True
-    return bool(four_holes_at_edge(ps, a, b))
+    sides = {witness_side(ps, *edge.endpoints, c) for c in edge.witnesses}
+    return sides == {-1, 1} or edge.endpoints in _holes_by_side(ps)

@@ -7,7 +7,7 @@ the ExitGraph that ``dual_triangles`` and ``stats_report`` read.
 """
 
 from exitgraph import shear_to_generic
-from exitgraph.dual import DualTriangle, crossing_tables
+from exitgraph.dual import DualTriangle, crossing_orders
 
 
 def dual_coefficients(ps):
@@ -97,6 +97,6 @@ def _scan_triangles(order, rank):
 def dual_triangles_reference(ps):
     """Every triangular cell of the dual arrangement, in the order of
     dual_triangles."""
-    tris = list(_scan_triangles(*crossing_tables(*dual_coefficients(ps))))
+    tris = list(_scan_triangles(*crossing_orders(*dual_coefficients(ps))))
     tris.sort(key=lambda t: (t.lines, sorted(t.unbounded_lines)))
     return tris

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,6 +135,25 @@ def test_stats_counts_match_cell_objects():
         assert exit_graph_stats(ps, edges) == rep  # what the stats command counts
         numpy_runs += type(edges.a).__module__ == "numpy"
     assert 5 <= numpy_runs < len(large)  # both backends ran
+
+
+def test_stats_report_memory_is_one_table_and_the_cell_codes():
+    # the pure-Python scan holds one n x n successor table of pointers and
+    # one integer code per unmarked cell (a 28-byte int and its 8-byte
+    # slot), and the counting holds one column's list at a time; a second
+    # table's worth covers the rest
+    n = 300
+    for seed in (1, 2, 3):
+        ps = random_general_position(n, random.Random(seed))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rep = stats_report(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 2 * n * sys.getsizeof([0] * n) + 40 * rep.triangles_unmarked
+        assert peak < bound, (seed, peak, bound)
 
 
 def test_crossings_square_and_triangle(unit_square, triangle):

@@ -2,6 +2,7 @@ import random
 from array import array
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from exitgraph import (
     trusted_point_set,
 )
 from exitgraph import dual, fastscan
-from exitgraph.dual import _exit_edges_vectorized, crossing_tables
+from exitgraph.dual import _exit_edges_vectorized, crossing_orders, crossing_tables
 from conftest import KINDS, grid_sets, mixed_sets, random_sets
 from reference_cells import dual_coefficients, dual_triangles_reference
 
@@ -56,17 +57,21 @@ _NEAR_TIES = [(0, 0), (1, 10 ** 9), (10 ** 9, 1), (10 ** 9 + 1, -10 ** 9), (2, 2
 
 def _assert_exact_tables(a, b):
     """order[i] is the Fraction-sorted x of the crossings on line i, rank
-    is its inverse, and the numpy tables agree where they are safe."""
+    is its inverse, the successor table nxt[i] maps each crossing to the
+    next one cyclically, and the numpy tables agree where they are safe."""
     n = len(a)
-    order, rank = crossing_tables(a, b)
+    order, rank = crossing_orders(a, b)
+    nxt = crossing_tables(a, b)
     for i in range(n):
         xs = {j: Fraction(b[j] - b[i], a[i] - a[j]) for j in range(n) if j != i}
         assert order[i] == sorted(xs, key=xs.__getitem__)
         assert [rank[i][j] for j in order[i]] == list(range(n - 1))
+        assert nxt[i][i] == -1
+        assert [nxt[i][j] for j in order[i]] == order[i][1:] + order[i][:1]
     if fastscan.coords_are_safe(a, b):
         order_np, rank_np = fastscan.crossing_tables_np(a, b)
         assert order_np.tolist() == order
-        assert rank_np.tolist() == rank
+        assert rank_np.tolist() == [[r.get(j, -1) for j in range(n)] for r in rank]
 
 
 def test_crossing_tables_order_is_exact():
@@ -188,11 +193,16 @@ def test_blocked_tables_and_scan_match_one_block(monkeypatch):
         exit_edges_dual(ps)
 
 
+def _codes(items, n):
+    """The codes key*n + w of (exit vertex key, witness) items."""
+    return [key * n + w for key, w in items]
+
+
 def test_exit_edge_builder_refuses_three_witnesses():
     # each backend fills its columns in one builder; in general position
     # no exit vertex gathers three witnesses
     expected = (ExitEdge((0, 1), frozenset({2, 3})), ExitEdge((1, 2), frozenset({0})))
-    python = dual._exit_graph([(6, 0), (1, 3), (1, 2)], 4)
+    python = dual._exit_graph(_codes([(6, 0), (1, 3), (1, 2)], 4), 4)
     keys, wits = np.array([6, 1, 1], dtype=np.int64), np.array([0, 3, 2], dtype=np.int32)
     vectorized = fastscan.exit_graph_np(keys, wits, 4)
     for graph in (python, vectorized):
@@ -200,7 +210,7 @@ def test_exit_edge_builder_refuses_three_witnesses():
         assert [c.tolist() for c in (graph.a, graph.b, graph.w0, graph.w1)] == [
             [0, 1], [1, 2], [2, 0], [3, -1]]
     with pytest.raises(TripleSharedExitVertexError):
-        dual._exit_graph([(1, 2), (1, 3), (1, 4)], 5)
+        dual._exit_graph(_codes([(1, 2), (1, 3), (1, 4)], 5), 5)
     keys, wits = np.array([1, 1, 1], dtype=np.int64), np.array([2, 3, 4], dtype=np.int32)
     with pytest.raises(TripleSharedExitVertexError):
         fastscan.exit_graph_np(keys, wits, 5)
@@ -213,12 +223,12 @@ def test_exit_edge_builder_refuses_three_witnesses():
     ([(998999, 997), (998999, 0), (1, 999), (1, 2), (1005, 3)], 1000),  # the largest labels
 ])
 def test_numpy_exit_graph_builder_matches_the_python_one(items, n):
-    # hand-made scan items in any order: the one sort of key*n + w groups
-    # each vertex's witnesses, w0 < w1, as dual._exit_graph does
+    # hand-made scan items in any order: on both backends one sort of the
+    # codes key*n + w groups each vertex's witnesses, w0 < w1
     keys = np.array([k for k, _ in items], dtype=np.int64)
     wits = np.array([w for _, w in items], dtype=np.int32)
     graph = fastscan.exit_graph_np(keys, wits, n)
-    python = dual._exit_graph(items, n)
+    python = dual._exit_graph(_codes(items, n), n)
     assert graph.columns() == python.columns()
     assert all(w0 < w1 for w0, w1 in zip(graph.w0.tolist(), graph.w1.tolist()) if w1 >= 0)
     assert _reference_edges(items, n) == tuple(graph)
@@ -233,7 +243,7 @@ def test_numpy_exit_graph_builder_refuses_a_third_witness_as_python_does(items, 
     keys = np.array([k for k, _ in items], dtype=np.int64)
     wits = np.array([w for _, w in items], dtype=np.int32)
     with pytest.raises(TripleSharedExitVertexError) as python:
-        dual._exit_graph(sorted(items), n)
+        dual._exit_graph(_codes(items, n), n)
     with pytest.raises(TripleSharedExitVertexError) as vectorized:
         fastscan.exit_graph_np(keys, wits, n)
     assert str(vectorized.value) == str(python.value)
@@ -264,7 +274,8 @@ def _reference_edges(items, n):
 
 
 def _reference_python(a, b):
-    return _reference_edges(dual._exit_items(a, b), len(a))
+    n = len(a)
+    return _reference_edges([divmod(code, n) for code in dual._exit_codes(a, b)], n)
 
 
 def _reference_vectorized(a, b):
@@ -420,6 +431,47 @@ def test_huge_coordinates_fall_back_to_exact_python_path():
     scale = 1 << 40  # beyond the vectorized int64 safety bound
     big = trusted_point_set([(p.x * scale, p.y * scale) for p in ps.points])
     assert exit_edges_dual(big) == exit_edges_dual(ps)
+
+
+def _successor_graph(ps):
+    """The exit graph of the pure-Python successor-table scan, at any size."""
+    a, b = dual_coefficients(ps)
+    return dual._exit_graph(dual._exit_codes(a, b), len(ps))
+
+
+def test_successor_scan_matches_numpy_and_bruteforce_on_four_to_six_points():
+    # on four lines the three crossings of each line form a 3-cycle, so
+    # every pair is adjacent and only the successor's direction decides
+    sizes = Counter()
+    for ps in random_sets(300, 4, 6, seed=4646):
+        a, b = dual_coefficients(ps)
+        python = _successor_graph(ps)
+        assert python == _exit_edges_vectorized(a, b, len(ps))
+        assert python == exit_edges_bruteforce(ps)
+        sizes[len(ps)] += 1
+    assert set(sizes) == {4, 5, 6}, sizes
+
+
+def test_successor_scan_matches_numpy_from_64_points():
+    # rationals, coordinates above 2^64 and their 2^40-scaled copies; a
+    # translation and a positive scale keep every orientation, so the
+    # numpy graph of the translated and reduced integer grid is the
+    # reference, past the numpy coordinate bound too
+    kinds = Counter()
+    for kind, ps in mixed_sets(6, 64, 120, seed=6412, kinds=("rational", "big")):
+        grid = ps.int_coords
+        x0, y0 = min(x for x, _ in grid), min(y for _, y in grid)
+        g = gcd(*(v for x, y in grid for v in (x - x0, y - y0)))
+        reduced = trusted_point_set([((x - x0) // g, (y - y0) // g) for x, y in grid])
+        a, b = dual_coefficients(reduced)
+        assert fastscan.coords_are_safe(a, b)
+        vectorized = _exit_edges_vectorized(a, b, len(ps))
+        scaled = trusted_point_set([(x << 40, y << 40) for x, y in grid])
+        for copy in ps, scaled:
+            assert _successor_graph(copy) == vectorized
+        assert not fastscan.coords_are_safe(*dual_coefficients(scaled))
+        kinds[kind] += 1
+    assert kinds == {"rational": 3, "big": 3}, kinds
 
 
 def test_exact_resort_survives_adversarial_near_ties():
