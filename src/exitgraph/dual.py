@@ -260,20 +260,31 @@ def _exit_codes(a: list[int], b: list[int]) -> list[int]:
     return _scan_cells(crossing_tables(a, b))
 
 
-def _triangle(slope: Sequence[int], lines: Iterable[int], exit_vertex: tuple[int, int] | None,
-              witness: int | None) -> DualTriangle:
-    """The triangular cell on three lines: unmarked with its exit vertex
-    and witness, or the marked cell when both are None."""
+def _infinity_arcs(slope: Sequence[int], a: int, b: int, w: int) -> tuple[int, ...]:
+    """The two lines, ascending, whose arcs through infinity bound the
+    unmarked cell of the exit vertex (a, b) and the witness w, or () if
+    that cell is bounded."""
     # with slopes lo < mid < hi, directing the arcs as _scan_cells does
     # puts the marked cell on the infinity arcs of lo and hi, makes the
     # cell with the witness mid bounded, and puts the cell with the
     # witness lo or hi on the infinity arcs of mid and the witness
-    lo, mid, hi = sorted(lines, key=slope.__getitem__)
+    sa, sb, sw = slope[a], slope[b], slope[w]
+    if (sw - sa) * (sw - sb) < 0:
+        return ()
+    mid = a if (sa > sb) == (sw > sa) else b
+    return (mid, w) if mid < w else (w, mid)
+
+
+def _triangle(slope: Sequence[int], lines: Iterable[int], exit_vertex: tuple[int, int] | None,
+              witness: int | None) -> DualTriangle:
+    """The triangular cell on three lines: unmarked with its exit vertex
+    and witness, or the marked cell when both are None."""
     if witness is None:
+        lo, _, hi = sorted(lines, key=slope.__getitem__)
         unbounded = lo, hi
     else:
-        unbounded = () if witness == mid else (mid, witness)
-    i, y, z = lines = tuple(sorted((lo, mid, hi)))
+        unbounded = _infinity_arcs(slope, *exit_vertex, witness)
+    i, y, z = lines = tuple(sorted(lines))
     return DualTriangle(lines, ((i, y), (i, z), (y, z)), frozenset(unbounded),
                         witness is None, exit_vertex, witness)
 
@@ -407,6 +418,16 @@ def _exit_graph(codes: list[int], n: int) -> ExitGraph:
 # loading numpy alone adds about 12 MiB to the process)
 _VECTOR_THRESHOLD = 64
 
+# |a|, |b| <= 2^29 keeps every product of the numpy certification within
+# int64: |n*d| <= (2^30)^2 = 2^60 and |s| <= 2^61
+MAX_SAFE_COORD = 1 << 29
+
+
+def coords_are_safe(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether the numpy tables can take the lines y = a[i]*x + b[i]."""
+    return (max(map(abs, a), default=0) <= MAX_SAFE_COORD
+            and max(map(abs, b), default=0) <= MAX_SAFE_COORD)
+
 
 def _exit_edges_vectorized(a: list[int], b: list[int], n: int) -> ExitGraph:
     from . import fastscan
@@ -422,21 +443,19 @@ def exit_edges_dual(ps: PointSet) -> ExitGraph:
     (edge, witness) pair; hourglasses merge into two-witness edges.
 
     Returns an ExitGraph whose columns come straight from the scan's
-    items: numpy arrays from 64 points on (while the sheared coordinates
-    stay within ``fastscan.MAX_SAFE_COORD``), grouped by
+    items: numpy arrays from 64 points on while the sheared coordinates
+    stay within ``MAX_SAFE_COORD``, grouped by
     ``fastscan.exit_graph_np`` with one sort, and ``array.array`` from
     the pure-Python scan otherwise, grouped by ``_exit_graph``, so
-    smaller calls never load numpy.  No ExitEdge is built until one is
-    asked for.  Raises TripleSharedExitVertexError if an exit vertex
-    gathers three witnesses, which general position rules out.
+    smaller calls, and calls past the bound, never load numpy.  No
+    ExitEdge is built until one is asked for.  Raises
+    TripleSharedExitVertexError if an exit vertex gathers three
+    witnesses, which general position rules out.
     """
     n = len(ps)
     if n < 3:
         raise TooFewPointsError("exit edges need at least 3 points")
     a, b = _dual_coefficients(ps)
-    if n >= _VECTOR_THRESHOLD:
-        from . import fastscan  # here, so that small inputs never load numpy
-
-        if fastscan.coords_are_safe(a, b):
-            return _exit_edges_vectorized(a, b, n)
+    if n >= _VECTOR_THRESHOLD and coords_are_safe(a, b):
+        return _exit_edges_vectorized(a, b, n)
     return _exit_graph(_exit_codes(a, b), n)

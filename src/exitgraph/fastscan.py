@@ -21,17 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import ExitGraph, _exact_row, _scaled_intercepts, _triple_witness_error
-
-# |a|, |b| <= 2^29 keeps every certification product within int64:
-# |n*d| <= (2^30)^2 = 2^60 and |s| <= 2^61
-MAX_SAFE_COORD = 1 << 29
-
-
-def coords_are_safe(a: Sequence[int], b: Sequence[int]) -> bool:
-    return (max(map(abs, a), default=0) <= MAX_SAFE_COORD
-            and max(map(abs, b), default=0) <= MAX_SAFE_COORD)
-
+# MAX_SAFE_COORD and coords_are_safe live in dual, which tests them before
+# it imports this module (and numpy); they are re-exported here
+from .dual import (MAX_SAFE_COORD, ExitGraph, _exact_row, _scaled_intercepts,  # noqa: F401
+                   _triple_witness_error, coords_are_safe)
 
 # slots (row entries) per block of the tables and of the scan: small
 # enough that a block's temporaries stay in cache, large enough that

@@ -5,25 +5,26 @@ All geometry stays exact until the final number formatting (20
 significant digits); rendering the same point set twice yields
 byte-identical documents.  Each point is formatted once, as the text of
 its x and of its negated y, so that mathematical y points up on screen;
-the canvas draws from that text.
+the canvas draws from that text.  The dual figure holds every crossing,
+and every corner of a clipped cell, as an integer homogeneous triple
+(X, Y, W) with W > 0, the point (X/W, Y/W), and formats X/W itself.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 
-from .arrangement import _side
-from .dual import DualLine, crossing_position, dual_triangles, dualize
-from .geometry import PointSet, convex_hull, shear_to_generic
+from .dual import _dual_coefficients, _exit_codes, _exit_graph, _infinity_arcs
+from .geometry import PointSet, TooFewPointsError, convex_hull, shear_to_generic
+
+# one context for every number: a localcontext per call cost as much as
+# the division itself
+_DECIMAL = Context(prec=20)
 
 
-def format_number(value: Fraction) -> str:
-    """Decimal rendering with 20 significant digits, trailing zeros
-    stripped; the only place exact values leave the rational world."""
-    with localcontext() as ctx:
-        ctx.prec = 20
-        d = Decimal(value.numerator) / Decimal(value.denominator)
+def _decimal_text(d: Decimal) -> str:
+    """d in fixed point, trailing zeros stripped, and "0" for zero."""
     s = format(d, "f")
     if "." in s:
         s = s.rstrip("0").rstrip(".")
@@ -32,9 +33,29 @@ def format_number(value: Fraction) -> str:
     return s
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """num/den, den > 0, as a decimal of 20 significant digits, rounded
+    half to even, trailing zeros stripped."""
+    return _decimal_text(_DECIMAL.divide(Decimal(num), Decimal(den)))
+
+
+def format_number(value: Fraction) -> str:
+    """Decimal rendering with 20 significant digits, trailing zeros
+    stripped; the only place exact values leave the rational world."""
+    return _ratio_text(value.numerator, value.denominator)
+
+
 def _xy(x: Fraction, y: Fraction) -> tuple[str, str]:
     """The text of a point on the canvas: its x, and its y negated."""
     return format_number(x), format_number(-y)
+
+
+def _point_text(X: int, Y: int, W: int) -> str:
+    """The "x,y" text of the homogeneous point (X, Y, W), W > 0, on the
+    canvas: X/W and -Y/W as ``_ratio_text`` writes them."""
+    w = Decimal(W)
+    divide = _DECIMAL.divide
+    return f"{_decimal_text(divide(Decimal(X), w))},{_decimal_text(divide(Decimal(-Y), w))}"
 
 
 def _bbox(points):
@@ -100,45 +121,74 @@ def _render_primal(ps: PointSet, edges: list[tuple[int, int]]) -> str:
     return canvas.document()
 
 
-def _clip_halfplane(poly, side):
-    """Sutherland-Hodgman step: keep the side(pt) >= 0 part of a convex
-    polygon; exact rational intersections."""
+# -- the dual figure ------------------------------------------------
+#
+# Point i of the sheared set is (A_i, -B_i) / s on its integer grid, so
+# its dual line is y = (A_i x + B_i) / s.  Lines i and j cross at the
+# homogeneous point W = s(A_i - A_j), X = s(B_j - B_i),
+# Y = A_i B_j - A_j B_i, and a point lies above line k iff
+# s Y - A_k X - B_k W > 0.
+
+def _crossing(a: list[int], b: list[int], s: int, i: int, j: int) -> tuple[int, int, int]:
+    """The crossing of dual lines i and j as (X, Y, W), W > 0."""
+    d = a[i] - a[j]
+    if d > 0:
+        return s * (b[j] - b[i]), a[i] * b[j] - a[j] * b[i], s * d
+    return s * (b[i] - b[j]), a[j] * b[i] - a[i] * b[j], -s * d
+
+
+def _above(ak: int, bk: int, s: int, point: tuple[int, int, int]) -> int:
+    """The sign of the point's height above the line y = (ak x + bk) / s."""
+    X, Y, W = point
+    f = s * Y - ak * X - bk * W
+    return (f > 0) - (f < 0)
+
+
+def _clip_halfplane(poly, ak: int, bk: int, s: int, sign: int):
+    """Sutherland-Hodgman step: keep the part of a convex polygon of
+    homogeneous points where sign * (height above the line) >= 0.  The
+    edge PQ crosses the line at f(P) Q - f(Q) P, f the height form."""
+    f = [sign * (s * Y - ak * X - bk * W) for X, Y, W in poly]
     out = []
-    for idx in range(len(poly)):
-        cur = poly[idx]
-        nxt = poly[(idx + 1) % len(poly)]
-        fc, fn = side(cur), side(nxt)
-        if fc >= 0:
-            out.append(cur)
-        if (fc >= 0) != (fn >= 0):
-            t = fc / (fc - fn)
-            out.append((cur[0] + t * (nxt[0] - cur[0]),
-                        cur[1] + t * (nxt[1] - cur[1])))
+    for p, fp, q, fq in zip(poly, f, poly[1:] + poly[:1], f[1:] + f[:1]):
+        if fp >= 0:
+            out.append(p)
+            if fq < 0:
+                out.append((fp * q[0] - fq * p[0], fp * q[1] - fq * p[1],
+                            fp * q[2] - fq * p[2]))
+        elif fq >= 0:
+            out.append((fq * p[0] - fp * q[0], fq * p[1] - fp * q[1],
+                        fq * p[2] - fp * q[2]))
     return out
 
 
-def _halfplane(line: DualLine, sign: int):
-    def side(pt):
-        return sign * (pt[1] - line.y_at(pt[0]))
-
-    return side
-
-
-def _clip_line_to_rect(line: DualLine, x0, x1, y0, y1):
-    """The piece of a non-vertical line inside the viewport.  Every dual
-    line passes through a crossing strictly inside the viewport, so the
-    piece is never empty."""
-    ay, by = line.y_at(x0), line.y_at(x1)
-    t0, t1 = Fraction(0), Fraction(1)
-    dy = by - ay
-    if dy:
-        ta, tb = sorted(((y0 - ay) / dy, (y1 - ay) / dy))
-        t0, t1 = max(t0, ta), min(t1, tb)
-    dx = x1 - x0
-    return (x0 + t0 * dx, ay + t0 * dy), (x0 + t1 * dx, ay + t1 * dy)
+def _at_height(ak: int, bk: int, s: int, y: Fraction) -> tuple[int, int, int]:
+    """The point at height y of the line y = (ak x + bk) / s, ak != 0."""
+    u, v = y.numerator, y.denominator
+    if ak > 0:
+        return s * u - bk * v, ak * u, ak * v
+    return bk * v - s * u, -ak * u, -ak * v
 
 
-def _extreme_crossings(lines: list[DualLine]) -> list[tuple[Fraction, Fraction]]:
+def _clip_line_to_rect(ak: int, bk: int, s: int, x0, x1, y0, y1):
+    """The ends of the line y = (ak x + bk) / s inside the viewport, left
+    to right.  Every dual line passes through a crossing strictly inside
+    the viewport, so the piece is never empty: a rising line enters
+    through the left or the bottom side and leaves through the right or
+    the top one, a falling line the other way round."""
+    left = (x0.numerator * s, ak * x0.numerator + bk * x0.denominator, x0.denominator * s)
+    right = (x1.numerator * s, ak * x1.numerator + bk * x1.denominator, x1.denominator * s)
+    if ak:
+        low, high = (y0, y1) if ak > 0 else (y1, y0)
+        enter, leave = _at_height(ak, bk, s, low), _at_height(ak, bk, s, high)
+        if enter[0] * left[2] > left[0] * enter[2]:
+            left = enter
+        if leave[0] * right[2] < right[0] * leave[2]:
+            right = leave
+    return left, right
+
+
+def _extreme_crossings(a: list[int], b: list[int], s: int) -> list[tuple[int, int, int]]:
     """O(n) crossings whose bounding box is that of all n(n-1)/2: those
     of the lines adjacent by slope, and of the non-horizontal lines
     adjacent by 1/slope.
@@ -153,85 +203,107 @@ def _extreme_crossings(lines: list[DualLine]) -> list[tuple[Fraction, Fraction]]
     crossing with a slope neighbour.  See de Berg et al., Computational
     Geometry, ch. 8, for the sweep.
     """
-    by_slope = sorted(lines, key=lambda l: l.slope)
-    steep = sorted((l for l in lines if l.slope), key=lambda l: 1 / l.slope)
+    lines = range(len(a))
+    by_slope = sorted(lines, key=a.__getitem__)
+    # 1/A ascends over the negative A, descending, then the positive A,
+    # descending
+    steep = sorted((k for k in lines if a[k]), key=lambda k: (a[k] > 0, -a[k]))
     pairs = [*zip(by_slope, by_slope[1:]), *zip(steep, steep[1:])]
-    return [crossing_position(a, b) for a, b in pairs]
+    return [_crossing(a, b, s, i, j) for i, j in pairs]
 
 
 def dual_cell_polygons(ps: PointSet):
     """Exact viewport-clipped polygons of the unmarked triangular cells.
 
-    Returns (viewport corners, dual lines of the sheared set, crossing
-    positions, pieces).  The viewport is the bounding box of all
-    crossings with a margin, taken from ``_extreme_crossings``, and the
-    positions are those of the cell vertices alone, keyed by the pair of
-    lines.  pieces is a list of (triangle, tag, polygon) with rational
-    polygon vertices, and cells glued across infinity contribute two
-    polygons under one tag.  A cell equals the intersection of its three
-    bounding halfplanes, so clipping those against the viewport
-    reproduces it exactly.
+    Returns (viewport, coefficients, positions, pieces).  The viewport
+    (x0, x1, y0, y1) is the bounding box of all crossings with a margin,
+    taken from ``_extreme_crossings``.  coefficients is (A, B, s): the
+    dual line i of the sheared set is y = (A[i] x + B[i]) / s.
+    positions maps each cell vertex, the pair i < j of lines, to its
+    crossing (X, Y, W), and holds no other crossing.  pieces is a list of
+    (cell, tag, polygon) with cell = (lines, unbounded, exit vertex): the
+    three lines ascending, the two lines whose arcs through infinity
+    bound the cell or (), and the exit vertex (a, b).  The cells come
+    from the exit graph of the pure-Python scan, ordered by (lines,
+    unbounded), and polygons are lists of homogeneous points.  Cells
+    glued across infinity contribute two polygons under one tag.  A cell
+    equals the intersection of its three bounding halfplanes, so
+    clipping those against the viewport reproduces it exactly.
     """
-    tris = dual_triangles(ps)  # refuses fewer than 3 points first
+    n = len(ps)
+    if n < 3:
+        raise TooFewPointsError("dual triangle scan needs at least 3 points")
     sheared, _ = shear_to_generic(ps)
-    lines = dualize(sheared)
-    x0, x1, y0, y1 = _bbox(_extreme_crossings(lines))
-    rect = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    positions: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    a, b = _dual_coefficients(sheared)  # the shear of a sheared set is the identity
+    s = sheared.scale
+    cells = []
+    for p, q, w0, w1 in zip(*_exit_graph(_exit_codes(a, b), n).columns()):
+        for w in (w0,) if w1 < 0 else (w0, w1):
+            lines = (w, p, q) if w < p else (p, w, q) if w < q else (p, q, w)
+            cells.append((lines, _infinity_arcs(a, p, q, w), (p, q)))
+    cells.sort()
+
+    viewport = x0, x1, y0, y1 = _bbox([(Fraction(X, W), Fraction(Y, W))
+                                       for X, Y, W in _extreme_crossings(a, b, s)])
+    rect = [(x.numerator * y.denominator, y.numerator * x.denominator,
+             x.denominator * y.denominator) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+    positions: dict[tuple[int, int], tuple[int, int, int]] = {}
+
+    def vertex(i, j):
+        pos = positions.get((i, j))
+        if pos is None:
+            pos = positions[i, j] = _crossing(a, b, s, i, j)
+        return pos
+
     pieces = []
-    for t in tris:
-        if t.marked:
+    for cell in cells:
+        (i, j, k), unbounded, _ = cell
+        polygon = [vertex(i, j), vertex(i, k), vertex(j, k)]
+        tag = f"t{i}-{j}-{k}"
+        if not unbounded:
+            pieces.append((cell, tag, polygon))
             continue
-        for i, j in t.vertices:
-            if (i, j) not in positions:
-                positions[i, j] = crossing_position(lines[i], lines[j])
-        tag = "t" + "-".join(map(str, t.lines))
-        if not t.unbounded_lines:
-            pieces.append((t, tag, [positions[v] for v in t.vertices]))
-            continue
-        p, q = sorted(t.unbounded_lines)
+        p, q = unbounded
         tag += f"u{p}-{q}"
-        w = next(l for l in t.lines if l not in t.unbounded_lines)
-        lp, lq, lw = lines[p], lines[q], lines[w]
+        w = i + j + k - p - q
         apex = positions[p, q]
         vp, vq = positions[min(p, w), max(p, w)], positions[min(q, w), max(q, w)]
         # the wedge at the apex is the angle opposite the triangle
         # apex, vp, vq: across line p from vq and across line q from vp
-        sp, sq = -_side(lp, vq), -_side(lq, vp)
-        wedge = _clip_halfplane(_clip_halfplane(rect, _halfplane(lp, sp)),
-                                _halfplane(lq, sq))
+        sp, sq = -_above(a[p], b[p], s, vq), -_above(a[q], b[q], s, vp)
+        wedge = _clip_halfplane(_clip_halfplane(rect, a[p], b[p], s, sp), a[q], b[q], s, sq)
         far = _clip_halfplane(_clip_halfplane(_clip_halfplane(
-            rect, _halfplane(lp, -sp)), _halfplane(lq, -sq)),
-            _halfplane(lw, -_side(lw, apex)))
+            rect, a[p], b[p], s, -sp), a[q], b[q], s, -sq),
+            a[w], b[w], s, -_above(a[w], b[w], s, apex))
         for piece in (wedge, far):
             if len(piece) >= 3:
-                pieces.append((t, tag, piece))
-    return rect, lines, positions, pieces
+                pieces.append((cell, tag, piece))
+    return viewport, (a, b, s), positions, pieces
 
 
 def _render_dual(ps: PointSet) -> str:
-    rect, lines, positions, pieces = dual_cell_polygons(ps)
-    (x0, y0), _, (x1, y1), _ = rect
-    canvas = _Canvas(x0, x1, y0, y1)
+    viewport, (a, b, s), positions, pieces = dual_cell_polygons(ps)
+    canvas = _Canvas(*viewport)
     # one "x,y" text per cell vertex: with a tuple of two strings the
     # figure of 500 points peaked at 172 MiB, not 161
-    text = {v: ",".join(_xy(*pos)) for v, pos in positions.items()}
+    text = {v: _point_text(*pos) for v, pos in positions.items()}
 
     # shaded unmarked triangular cells; a bounded cell's polygon is its
     # vertices, and glued cells render as two clipped pieces
-    for t, tag, poly in pieces:
-        corners = ([",".join(_xy(*v)) for v in poly] if t.unbounded_lines
-                   else [text[v] for v in t.vertices])
+    for ((i, j, k), unbounded, _), tag, poly in pieces:
+        corners = ([_point_text(*v) for v in poly] if unbounded
+                   else [text[i, j], text[i, k], text[j, k]])
         canvas.polygon(corners, "#cccccc", "cell", tag)
 
     width = format_number(canvas.base / 300)
-    for line in lines:
-        a, b = _clip_line_to_rect(line, x0, x1, y0, y1)
-        canvas.line(_xy(*a), _xy(*b), "#333333", width, "dual-line")
+    for ak, bk in zip(a, b):
+        p, q = _clip_line_to_rect(ak, bk, s, *viewport)
+        canvas.line(_point_text(*p).split(","), _point_text(*q).split(","), "#333333", width,
+                    "dual-line")
 
     # exit vertices as filled disks
     radius = format_number(canvas.base / 80)
-    for v in dict.fromkeys(t.exit_vertex for t, _tag, _poly in pieces):
+    for v in dict.fromkeys(cell[2] for cell, _tag, _poly in pieces):
         canvas.disk(text[v].split(","), radius, "#000000", "exit-vertex")
     return canvas.document()
 

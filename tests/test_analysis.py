@@ -137,6 +137,33 @@ def test_stats_counts_match_cell_objects():
     assert 5 <= numpy_runs < len(large)  # both backends ran
 
 
+def test_stats_counts_match_the_full_arrangement():
+    # T, the unmarked count, H and every line's t and h, against the cells
+    # that the traced face structure of the whole arrangement finds: the
+    # verdicts sum_t_is_three_triangles, sum_h_is_two_hourglasses and
+    # exit_count_is_unmarked_minus_hourglasses hold by construction for
+    # any counts, so these counts are what makes them checks
+    from exitgraph import build_arrangement, dualize, triangular_cells
+
+    kinds = dict.fromkeys(KINDS, 0)
+    for kind, ps in mixed_sets(60, 4, 12, seed=1717):
+        cells = triangular_cells(build_arrangement(dualize(shear_to_generic(ps)[0])))
+        unmarked = [c for c in cells if not c.marked]
+        by_vertex: dict[tuple[int, int], int] = {}
+        for c in unmarked:
+            by_vertex[c.exit_vertex] = by_vertex.get(c.exit_vertex, 0) + 1
+        shared = [v for v, count in by_vertex.items() if count == 2]
+        t = [sum(i in c.lines for c in cells) for i in range(len(ps))]
+        h = [sum(i in v for v in shared) for i in range(len(ps))]
+        rep = exit_graph_stats(ps, exit_edges_dual(ps))
+        assert (rep.triangles, rep.triangles_unmarked, rep.hourglass_count) == (
+            len(cells), len(unmarked), len(shared)), kind
+        assert [(ls.t, ls.h) for ls in rep.per_line] == list(zip(t, h)), kind
+        assert rep.all_bounds_hold, rep.verdicts
+        kinds[kind] += 1
+    assert all(v == 20 for v in kinds.values()), kinds
+
+
 def test_stats_report_memory_is_one_table_and_the_cell_codes():
     # the pure-Python scan holds one n x n successor table of pointers and
     # one integer code per unmarked cell (a 28-byte int and its 8-byte
@@ -235,9 +262,9 @@ def test_outer_face_with_labels_off_the_exit_graph():
 
 
 def test_small_analyses_never_load_numpy():
-    # below 64 points the exact Python scan runs, and stats_report runs it
-    # at any size; analysis_mix's memory figure rests on numpy staying
-    # unloaded
+    # below 64 points the exact Python scan runs, and stats_report and
+    # the dual figure run it at any size; analysis_mix's memory figure
+    # rests on numpy staying unloaded
     code = (
         "import random, sys, exitgraph\n"
         "ps = exitgraph.random_general_position(40, random.Random(3))\n"
@@ -247,6 +274,8 @@ def test_small_analyses_never_load_numpy():
         "exitgraph.outer_face_vertices(ps)\n"
         "exitgraph.search_min_exit_edges(12, 3, 4)\n"
         "exitgraph.render_svg(ps, 'dual')\n"
+        "exitgraph.render_svg(exitgraph.random_general_position(70, random.Random(7)), 'dual')\n"
+        "exitgraph.render_svg(exitgraph.random_general_position(120, random.Random(8)), 'dual')\n"
         "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
     )
     env = dict(os.environ)

@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exitgraph
 from exitgraph import (
     CollinearTripleError,
     ConcurrentLinesError,
@@ -431,6 +436,31 @@ def test_huge_coordinates_fall_back_to_exact_python_path():
     scale = 1 << 40  # beyond the vectorized int64 safety bound
     big = trusted_point_set([(p.x * scale, p.y * scale) for p in ps.points])
     assert exit_edges_dual(big) == exit_edges_dual(ps)
+
+
+def test_coordinates_past_the_numpy_bound_never_load_numpy():
+    # the coordinate bound is tested before fastscan (and numpy) is
+    # imported, so a 2^40-scaled set of 64 points or more runs the
+    # pure-Python scan in a process that never loads numpy
+    code = (
+        "import random, sys\n"
+        "from array import array\n"
+        "import exitgraph\n"
+        "ps = exitgraph.random_general_position(70, random.Random(70))\n"
+        "big = exitgraph.trusted_point_set([(x << 40, y << 40) for x, y in ps.int_coords])\n"
+        "edges = exitgraph.exit_edges_dual(big)\n"
+        "assert len(edges) > 0\n"
+        "assert all(isinstance(c, array) for c in (edges.a, edges.b, edges.w0, edges.w1))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(exitgraph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert fastscan.coords_are_safe is dual.coords_are_safe
+    assert fastscan.MAX_SAFE_COORD == dual.MAX_SAFE_COORD == 1 << 29
 
 
 def _successor_graph(ps):

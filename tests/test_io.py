@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from exitgraph import (
     CollinearTripleError,
@@ -168,6 +170,53 @@ def test_format_number_significant_digits():
     assert format_number(Fraction(10, 2)) == "5"
 
 
+# numerators and denominators: small, past 20 digits, and around 2^+-1100
+_numerators = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 45, 10 ** 45),
+                        st.builds(lambda m, e: m << e, st.integers(-10 ** 6, 10 ** 6),
+                                  st.integers(1000, 1100)))
+_denominators = st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 45),
+                          st.builds(lambda m, e: m << e, st.integers(1, 10 ** 6),
+                                    st.integers(1000, 1100)))
+
+
+@given(_numerators, _numerators, _denominators, st.integers(1, 10 ** 25))
+@example(2 ** 1100, 0, 1, 1)
+@example(-(2 ** 1100), 1, 3, 7)
+@example(1, -(2 ** 1100), 2 ** 1100, 1)
+@example(0, 0, 5, 10 ** 22)
+@example(-10 ** 25, 10 ** 25, 3, 1)
+def test_ratio_text_matches_the_frozen_formatter(x, y, w, factor):
+    # reduced or not, the text is that of the frozen writer's
+    # format_number on the Fraction, for a homogeneous point too
+    import reference_svg
+    from exitgraph.svg import _point_text, _ratio_text
+
+    ref = reference_svg.format_number
+    expected = ref(Fraction(x, w))
+    assert _ratio_text(x, w) == expected
+    assert _ratio_text(x * factor, w * factor) == expected
+    assert format_number(Fraction(x, w)) == expected
+    assert _point_text(x * factor, y * factor, w * factor) == f"{expected},{ref(Fraction(-y, w))}"
+
+
+@given(st.integers(10 ** 19, 10 ** 20 - 1), st.integers(-40, 40), st.integers(1, 10 ** 25),
+       st.sampled_from([1, -1]))
+@example(10 ** 20 - 1, 0, 1, 1)  # rounds up to 21 digits
+@example(10 ** 19, -1100, 3, -1)
+def test_ratio_text_rounds_exact_ties_half_to_even(head, shift, factor, sign):
+    # head * 10 + 5 has 21 significant digits and ends in 5: an exact tie
+    # at the 20th digit, which goes to the even neighbour of head
+    import reference_svg
+    from exitgraph.svg import _ratio_text
+
+    tie = sign * (head * 10 + 5)
+    num, den = (tie * 10 ** shift, 1) if shift >= 0 else (tie, 10 ** -shift)
+    text = _ratio_text(num * factor, den * factor)
+    assert text == reference_svg.format_number(Fraction(num, den))
+    kept = head + head % 2
+    assert Fraction(text) == sign * kept * Fraction(10) ** (shift + 1)
+
+
 def test_render_is_deterministic(unit_square, six_points):
     for ps in (unit_square, six_points):
         for mode in ("primal", "dual"):
@@ -203,24 +252,20 @@ def test_dual_square_shading(unit_square):
 
 def test_dual_shading_polygons_respect_the_arrangement():
     # every rendered piece must be a subset of one cell: no dual line may
-    # strictly separate its vertices, and each piece stays inside its
-    # cell's three bounding halfplanes
-    from exitgraph import dualize, shear_to_generic
+    # strictly separate its homogeneous vertices (X, Y, W), W > 0, whose
+    # side of line k is the sign of s*Y - A[k]*X - B[k]*W
     from exitgraph.svg import dual_cell_polygons
 
     for ps in random_sets(10, 4, 9, seed=1717):
-        sheared, _ = shear_to_generic(ps)
-        lines = {l.source: l for l in dualize(sheared)}
-        _, _, _, pieces = dual_cell_polygons(ps)
-        tris = {id(t) for t, _, _ in pieces}
-        assert len(pieces) >= len(tris)
-        for tri, _tag, poly in pieces:
+        _, (a, b, s), _, pieces = dual_cell_polygons(ps)
+        cells = {cell for cell, _, _ in pieces}
+        assert len(pieces) >= len(cells)
+        for cell, _tag, poly in pieces:
             assert len(poly) >= 3
-            for src, line in lines.items():
-                signs = {(v[1] - line.y_at(v[0]) > 0) - (v[1] - line.y_at(v[0]) < 0)
-                         for v in poly}
-                assert not signs >= {-1, 1}, (
-                    f"line {src} cuts a rendered piece of cell {tri.lines}")
+            assert all(W > 0 for _, _, W in poly)
+            for k, (ak, bk) in enumerate(zip(a, b)):
+                signs = {(f > 0) - (f < 0) for X, Y, W in poly for f in [s * Y - ak * X - bk * W]}
+                assert not signs >= {-1, 1}, f"line {k} cuts a rendered piece of cell {cell[0]}"
 
 
 def test_figures_match_the_frozen_writer(triangle, unit_square):
@@ -247,6 +292,7 @@ def test_dual_viewport_is_the_box_of_all_crossings():
     # point at x = 0 after the shear has a horizontal dual line, which
     # the 1/slope order leaves out
     from exitgraph import crossing_position, dualize, shear_to_generic
+    from exitgraph.dual import _dual_coefficients
     from exitgraph.svg import _extreme_crossings
 
     rng = random.Random(3232)
@@ -256,27 +302,38 @@ def test_dual_viewport_is_the_box_of_all_crossings():
              for ps in sets[:120] for k in [rng.randrange(len(ps))]]
     horizontal = 0
     for ps in sets:
-        lines = dualize(shear_to_generic(ps)[0])
+        sheared = shear_to_generic(ps)[0]
+        lines = dualize(sheared)
         every = [crossing_position(a, b) for i, a in enumerate(lines) for b in lines[i + 1:]]
-        assert _box(_extreme_crossings(lines)) == _box(every), ps
+        extreme = _extreme_crossings(*_dual_coefficients(sheared), sheared.scale)
+        assert all(W > 0 for _, _, W in extreme)
+        assert _box([(Fraction(X, W), Fraction(Y, W)) for X, Y, W in extreme]) == _box(every), ps
         horizontal += any(line.slope == 0 for line in lines)
     assert len(sets) >= 300 and horizontal >= 50, (len(sets), horizontal)
 
 
 def test_dual_figure_positions_only_cell_vertices(monkeypatch):
+    # crossings are computed on demand, as (X, Y, W): one per cell
+    # vertex, each equal to crossing_position, and O(n) more for the
+    # viewport, fewer than all n(n-1)/2 in all
+    from exitgraph import crossing_position, dualize, shear_to_generic
     import exitgraph.svg as svg
 
-    calls, original = [], svg.crossing_position
+    calls, original = [], svg._crossing
 
-    def counted(a, b):
-        calls.append((a.source, b.source))
-        return original(a, b)
+    def counted(a, b, s, i, j):
+        calls.append((i, j))
+        return original(a, b, s, i, j)
 
-    monkeypatch.setattr(svg, "crossing_position", counted)
+    monkeypatch.setattr(svg, "_crossing", counted)
     ps = random_general_position(120, random.Random(120))
     _, _, positions, pieces = svg.dual_cell_polygons(ps)
-    assert set(positions) == {v for t, _, _ in pieces for v in t.vertices}
+    vertices = {v for ((i, j, k), _, _), _, _ in pieces for v in [(i, j), (i, k), (j, k)]}
+    assert set(positions) == vertices
     assert len(calls) < 120 * 119 // 2, len(calls)
+    lines = dualize(shear_to_generic(ps)[0])
+    for (i, j), (X, Y, W) in positions.items():
+        assert W > 0 and (Fraction(X, W), Fraction(Y, W)) == crossing_position(lines[i], lines[j])
 
 
 def test_report_document(unit_square):
