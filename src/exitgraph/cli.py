@@ -33,14 +33,13 @@ from .analysis import (
 from .dual import ConcurrentLinesError, ExitGraph, exit_edges_dual
 from .geometry import (
     GeometryError,
-    Point,
     PointSet,
     certify_general_position,
     trusted_point_set,
 )
 from .morph import first_collinearity_morph
 from .oracle import exit_edges_bruteforce, exit_edges_via_holes, is_exit_edge_with_witness
-from .pointfile import parse_point_list, parse_points, serialize_points
+from .pointfile import _coordinate_pairs, parse_points, serialize_points
 from .report import build_report, edge_rows, render_json
 from .svg import render_svg
 
@@ -55,13 +54,14 @@ def _load(path: str) -> PointSet:
     return parse_points(Path(path).read_text(encoding="utf-8"))
 
 
-def _points(path: str) -> list[Point]:
-    return parse_point_list(Path(path).read_text(encoding="utf-8"))
+def _points(path: str) -> list[tuple]:
+    """The (x, y) pairs of a point file, parsed to ints and Fractions."""
+    return _coordinate_pairs(Path(path).read_text(encoding="utf-8"))
 
 
-def _scan(points: list[Point], scan):
-    """(ps, scan(ps)) for the PointSet ps of points, certified by the
-    exact dual scan that scan runs first.
+def _scan(points: list[tuple], scan):
+    """(ps, scan(ps)) for the PointSet ps of the pairs points, certified
+    by the exact dual scan that scan runs first.
 
     Raises DuplicatePointError for the first coinciding pair, and on a
     tie of the scan CollinearTripleError for the first collinear triple:

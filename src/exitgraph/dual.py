@@ -15,16 +15,22 @@ cyclically adjacent.  The three arcs between those crossings then hold
 no other crossing, and a one-sided closed curve meets every line, so
 the curve they form is two-sided: it bounds the cell.
 
-The crossing orders are exact: ``crossing_tables`` sorts every line's
-crossings on integer keys (``_exact_row``), with no float step;
-``fastscan.crossing_tables_np`` pre-sorts on floats and re-sorts each
-row it cannot certify with the same ``_exact_row``.  The pure-Python
-path keeps one n x n successor table, nxt[i][j] the crossing that
-follows j on line i, cyclically: whether two crossings are adjacent,
-and which way the arc between them runs, are lookups in it.
-``crossing_orders`` derives
-the linear orders and ranks that the full arrangement needs from the
-same sorted rows.
+The crossing orders are exact, and both backends sort a row by one
+rule.  The key of crossing j on line i is its x = (b[j] - b[i]) /
+(a[i] - a[j]), rounded correctly to a float: Python's int / int rounds
+so for integers of any size, and numpy's float64 quotient does when
+both differences are exact, which ``MAX_SAFE_COORD`` ensures.  Rounding
+to nearest is monotone, x < x' gives key <= key', so keys that are
+pairwise distinct are in the exact order.  Only a row with a repeated
+key, or with a key past the float range, is sorted by ``_exact_row``
+on exact integer keys.  Coinciding crossings have equal x and so equal
+keys: concurrent lines always reach ``_exact_row``, which names them.
+The pure-Python path (``crossing_tables``) keeps one n x n successor
+table, nxt[i][j] the crossing that follows j on line i, cyclically:
+whether two crossings are adjacent, and which way the arc between them
+runs, are lookups in it; ``fastscan.crossing_tables_np`` keeps order
+and rank tables instead.  ``crossing_orders`` derives the linear orders
+and ranks that the full arrangement needs from the same sorted rows.
 
 One pure-Python scan, ``_scan_cells``, makes these tests over the pairs
 j > i of each line i and finds what its numpy counterpart
@@ -45,6 +51,7 @@ decided by a closed form instead, before any scan.
 
 from __future__ import annotations
 
+import math
 import operator
 from array import array
 from dataclasses import dataclass
@@ -108,7 +115,8 @@ def _scaled_intercepts(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _exact_row(a: Sequence[int], qb: Sequence[int], i: int, row: list[int]) -> list[int]:
     """``row`` sorted by the x of each line's crossing with line i, where
-    qb is ``_scaled_intercepts(a, b)``.
+    qb is ``_scaled_intercepts(a, b)``: the exact sort of a row whose
+    float keys repeat or overflow, in both backends.
 
     Line j crosses line i at x_j = (b[j] - b[i]) / (a[i] - a[j]), with
     0 < |a[i] - a[j]| <= D, so two distinct crossings differ by at least
@@ -126,9 +134,31 @@ def _exact_row(a: Sequence[int], qb: Sequence[int], i: int, row: list[int]) -> l
     return row
 
 
+def _rounded_row(a: Sequence[int], b: Sequence[int], i: int, ids: list[int]) -> list[int] | None:
+    """The other lines sorted by their crossing's correctly rounded float
+    key on line i, Python's (b[j] - b[i]) / (a[i] - a[j]); None when two
+    keys are equal or one overflows.  ids is range(n) as a list."""
+    ai, bi = a[i], b[i]
+    try:
+        key = [(bj - bi) / (ai - aj) for aj, bj in zip(a[:i], b[:i])]
+        key.append(math.inf)  # line i itself, which sorts last and is dropped
+        key += [(bj - bi) / (ai - aj) for aj, bj in zip(a[i + 1:], b[i + 1:])]
+    except OverflowError:
+        return None
+    row = sorted(ids, key=key.__getitem__)
+    row.pop()
+    x = list(map(key.__getitem__, row))
+    return None if any(map(operator.eq, x, x[1:])) else row
+
+
 def _sorted_rows(a: Sequence[int], b: Sequence[int]) -> Iterator[list[int]]:
-    """Each line's crossings, line by line, sorted by ``_exact_row``;
-    refuses two lines of equal slope before the first row."""
+    """Each line's crossings, line by line, sorted by x; refuses two
+    lines of equal slope before the first row.
+
+    A row is sorted on its correctly rounded float keys, and by
+    ``_exact_row`` only when two of them are equal or one overflows (see
+    the module docstring).
+    """
     n = len(a)
     if n < 2:
         raise ValueError("need at least 2 lines")
@@ -136,10 +166,15 @@ def _sorted_rows(a: Sequence[int], b: Sequence[int]) -> Iterator[list[int]]:
     for i, ai in enumerate(a):
         if seen.setdefault(ai, i) != i:
             raise NonDistinctSlopesError(f"lines {seen[ai]} and {i} have equal slope")
-    qb = _scaled_intercepts(a, b)
+    qb = None
     ids = list(range(n))
     for i in range(n):
-        yield _exact_row(a, qb, i, ids[:i] + ids[i + 1:])
+        row = _rounded_row(a, b, i, ids)
+        if row is None:
+            if qb is None:
+                qb = _scaled_intercepts(a, b)
+            row = _exact_row(a, qb, i, ids[:i] + ids[i + 1:])
+        yield row
 
 
 def crossing_tables(a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
@@ -147,8 +182,9 @@ def crossing_tables(a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
 
     nxt[i][j] is the line whose crossing follows j's on line i in the
     order of x, cyclically: the rightmost crossing is followed by the
-    leftmost, through infinity.  nxt[i][i] = -1.  Every row is sorted on
-    the exact integer keys of ``_exact_row``.
+    leftmost, through infinity.  nxt[i][i] = -1.  Every row is in the
+    exact order of x: sorted on correctly rounded float keys, and by
+    ``_exact_row`` where two of them tie or one overflows.
     """
     n = len(a)
     nxt: list[list[int]] = []
@@ -418,8 +454,10 @@ def _exit_graph(codes: list[int], n: int) -> ExitGraph:
 # loading numpy alone adds about 12 MiB to the process)
 _VECTOR_THRESHOLD = 64
 
-# |a|, |b| <= 2^29 keeps every product of the numpy certification within
-# int64: |n*d| <= (2^30)^2 = 2^60 and |s| <= 2^61
+# |a|, |b| <= 2^29 makes every difference of two of them, at most 2^30
+# in magnitude, an exact float64, so each key of the numpy tables is the
+# correctly rounded quotient of two exact integers; any bound up to 2^52
+# would do, and this one keeps which sets take the numpy path unchanged
 MAX_SAFE_COORD = 1 << 29
 
 

@@ -1,18 +1,17 @@
 """Vectorized crossing tables, triangle scan and exit graph for large inputs.
 
 The numpy counterparts of the pure-Python tables, cell scan and
-builder of dual.py, on int64 arrays.  Where dual.crossing_tables keeps a
+builder of dual.py, on integer arrays.  Where dual.crossing_tables keeps a
 cyclic successor table, crossing_tables_np keeps the order and rank
 tables, and scan_exit_items_np reads adjacency from rank differences;
 both scans find the same (exit vertex, witness) pairs, and
 exit_graph_np groups them, as dual._exit_graph does, with one sort of
-their codes key*n + w.  All decisions stay exact: float keys
-only pre-sort the crossings, and every adjacent pair is then certified by
-an integer sign test; the int64 products cannot overflow because callers
-guard the coordinate magnitude with MAX_SAFE_COORD.  Rows that fail
-certification are re-sorted by dual._exact_row, on the exact integer keys
-that sort every row of dual.crossing_tables (int64 cannot hold those
-keys, so numpy keeps the float filter).
+their codes key*n + w.  All decisions stay exact: crossing_tables_np
+sorts each row on the same correctly rounded float keys as
+dual._sorted_rows, float64 quotients of differences that are exact
+because callers guard the coordinate magnitude with MAX_SAFE_COORD, and
+re-sorts a row by dual._exact_row only when two adjacent sorted keys are
+equal (see dual's module docstring for why that suffices).
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ def crossing_tables_np(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, 
     """order (n, n-1) and rank (n, n) matrices of the crossing sequences,
     built over blocks of rows."""
     n = len(a)
-    A = np.asarray(a, dtype=np.int64)
-    B = np.asarray(b, dtype=np.int64)
-    AF = A.astype(np.float64)
-    BF = B.astype(np.float64)
+    # exact: callers keep |a|, |b| <= MAX_SAFE_COORD, so every difference
+    # below is an exact float64 and every key a correctly rounded quotient
+    AF = np.asarray(a, dtype=np.float64)
+    BF = np.asarray(b, dtype=np.float64)
     order = np.empty((n, n - 1), dtype=np.int32)
     step = max(1, _BLOCK_SLOTS // n)
     bad_rows = []
@@ -48,19 +47,16 @@ def crossing_tables_np(a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, 
         rows = np.arange(hi - lo)
         D = AF[lo:hi, None] - AF[None, :]
         D[rows, rows + lo] = 1.0
-        K = (BF[None, :] - BF[lo:hi, None]) / D
+        K = BF[None, :] - BF[lo:hi, None]
+        K /= D
         K[rows, rows + lo] = np.inf  # self, the only inf, sorts last and gets dropped
         # numpy's default sort, about 4x faster than kind="stable" here;
-        # the order of equal float keys does not matter, since every
-        # adjacent pair is certified exactly below
+        # the order of equal keys does not matter, since their rows are
+        # re-sorted exactly below
         block = np.argsort(K, axis=1)[:, : n - 1]
         order[lo:hi] = block
-
-        DD = A[lo:hi, None] - A[block]
-        NN = B[block] - B[lo:hi, None]
-        S = NN[:, :-1] * DD[:, 1:] - NN[:, 1:] * DD[:, :-1]
-        S *= np.sign(DD[:, :-1]) * np.sign(DD[:, 1:])
-        bad_rows += (np.nonzero((S >= 0).any(axis=1))[0] + lo).tolist()
+        K = np.take_along_axis(K, block, axis=1)
+        bad_rows += (np.flatnonzero((K[:, 1:] == K[:, :-1]).any(axis=1)) + lo).tolist()
     qb = _scaled_intercepts(a, b)
     for i in bad_rows:
         order[i] = _exact_row(a, qb, i, order[i].tolist())
@@ -80,46 +76,60 @@ def scan_exit_items_np(order: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray,
     """
     n, m = order.shape
     flat = rank.ravel()
-    rank_t = np.ascontiguousarray(rank.T)  # rank_t[i, j] = rank[j, i]
     step = max(1, _BLOCK_SLOTS // m)
     keys: list[np.ndarray] = []
     wits: list[np.ndarray] = []
     for lo in range(0, n, step):
-        _scan_block(order, flat, rank_t, lo, min(n, lo + step), keys, wits)
+        _scan_block(order, flat, lo, min(n, lo + step), keys, wits)
     return np.concatenate(keys), np.concatenate(wits)
 
 
-def _scan_block(order: np.ndarray, flat: np.ndarray, rank_t: np.ndarray, lo: int, hi: int,
+def _scan_block(order: np.ndarray, flat: np.ndarray, lo: int, hi: int,
                 keys: list[np.ndarray], wits: list[np.ndarray]) -> None:
     """Append the unmarked cells found from lines lo..hi-1 as line i;
-    flat is rank raveled and rank_t its transpose."""
+    flat is rank raveled, so rank[j][x] is flat[j*n + x].
+
+    Each test runs only on the slots that passed the ones before it, so
+    the random gathers from rank are read for few slots: line j's for
+    those where j > i and k > i (about 40% of them), line k's for those
+    where lines i and k are adjacent on line j too (about 15%).
+    """
     n, m = order.shape
     m1 = m - 1
     O = order[lo:hi]  # j, each crossing of line i
     NXT = np.roll(O, -1, axis=1)  # k, the next one; the last column wraps
     I = np.arange(lo, hi, dtype=order.dtype)[:, None]
-    # dj = rank[j][i] - rank[j][k] and dk = rank[k][i] - rank[k][j]
-    dJ = np.take_along_axis(rank_t[lo:hi], O, axis=1) - flat[O.astype(np.int64) * n + NXT]
-    dK = np.take_along_axis(rank_t[lo:hi], NXT, axis=1) - flat[NXT.astype(np.int64) * n + O]
+    # each cell is found once, from its smallest line i
+    sel = (O > I) & (NXT > I)
+    i, j, k = np.broadcast_to(I, O.shape)[sel], O[sel], NXT[sel]
+    # dj = rank[j][i] - rank[j][k]: i and k are adjacent on line j iff
+    # |dj| is 1 or m - 1 (cyclically); from four lines on, adjacency on
+    # all three lines alone decides (see dual._scan_cells)
+    row = j.astype(np.int64) * n
+    dJ = flat[row + i] - flat[row + k]
     aJ = np.abs(dJ)
+    sel = (aJ == 1) | (aJ == m1)
+    i, j, k, dJ = i[sel], j[sel], k[sel], dJ[sel]
+    # dk = rank[k][i] - rank[k][j], likewise on line k
+    row = k.astype(np.int64) * n
+    dK = flat[row + i] - flat[row + j]
     aK = np.abs(dK)
-    # from four lines on, adjacency alone decides (see dual._scan_cells)
-    keep = ((aJ == 1) | (aJ == m1)) & ((aK == 1) | (aK == m1)) & (O > I) & (NXT > I)
+    sel = (aK == 1) | (aK == m1)
+    i, j, k, dJ, dK = i[sel], j[sel], k[sel], dJ[sel], dK[sel]
     hJ = (dJ == 1) | (dJ == -m1)
     hK = (dK == 1) | (dK == -m1)
-    emit = keep & ~(hJ & ~hK)  # drop the marked (cyclic) cell
-    m11 = emit & hJ
-    m00 = emit & ~hJ & ~hK
-    m01 = emit & ~hJ & hK
+    # hJ & ~hK is the marked (cyclic) cell, which gives no item
+    m11 = hJ & hK
+    m00 = ~hJ & ~hK
+    m01 = ~hJ & hK
 
     # keys in int64: n*n may exceed int32 for very large inputs
-    II = np.broadcast_to(I, O.shape)
-    jj = O[m01]
-    kk = NXT[m01]
-    keys += [II[m11].astype(np.int64) * n + O[m11],
-             II[m00].astype(np.int64) * n + NXT[m00],
+    jj = j[m01]
+    kk = k[m01]
+    keys += [i[m11].astype(np.int64) * n + j[m11],
+             i[m00].astype(np.int64) * n + k[m00],
              np.minimum(jj, kk).astype(np.int64) * n + np.maximum(jj, kk)]
-    wits += [NXT[m11], O[m00], II[m01]]
+    wits += [k[m11], j[m00], i[m01]]
 
 
 def exit_graph_np(keys: np.ndarray, wits: np.ndarray, n: int) -> ExitGraph:

@@ -1,9 +1,13 @@
 """Exact planar geometry primitives over rational coordinates.
 
 Every predicate in this module (and everything built on top of it) is
-decided by arbitrary-precision integer arithmetic.  Floating point is
-never consulted for a geometric decision; sign computations on almost
-collinear triples therefore never go wrong.
+decided by arbitrary-precision integer arithmetic; sign computations on
+almost collinear triples therefore never go wrong.  Floating point
+enters at one step only, the sort of the dual crossings along each line
+(dual._sorted_rows and fastscan.crossing_tables_np), and decides
+nothing there: a correctly rounded key is a monotone function of the
+exact crossing, so keys that differ are in the exact order, and a row
+with two equal keys is re-sorted on exact integer keys.
 """
 
 from __future__ import annotations

@@ -44,10 +44,10 @@ def _coordinate(token: str) -> int | Fraction:
         raise
 
 
-def parse_point_list(text: str) -> list[Point]:
-    """Parse coordinates only; no certification (morph targets may be
-    arbitrary positions)."""
-    pts: list[Point] = []
+def _coordinate_pairs(text: str) -> list[tuple[int | Fraction, int | Fraction]]:
+    """The (x, y) pairs of a point file, ints where the text is an
+    integer: what trusted_point_set takes, with no Point built."""
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -60,16 +60,21 @@ def parse_point_list(text: str) -> list[Point]:
             raise PointSyntaxError(
                 lineno, f"exponent notation is not accepted: {line!r}")
         try:
-            x, y = _coordinate(parts[0]), _coordinate(parts[1])
+            pairs.append((_coordinate(parts[0]), _coordinate(parts[1])))
         except (ValueError, ZeroDivisionError) as err:
             raise PointSyntaxError(lineno, str(err)) from None
-        pts.append(Point(x, y))
-    return pts
+    return pairs
+
+
+def parse_point_list(text: str) -> list[Point]:
+    """Parse coordinates only; no certification (morph targets may be
+    arbitrary positions)."""
+    return [Point(x, y) for x, y in _coordinate_pairs(text)]
 
 
 def parse_points(text: str) -> PointSet:
     """Parse and certify a point file; syntax errors carry line numbers."""
-    return certify_general_position(parse_point_list(text))
+    return certify_general_position(_coordinate_pairs(text))
 
 
 def format_coordinate(value: Fraction) -> str:

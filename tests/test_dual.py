@@ -84,7 +84,8 @@ def test_crossing_tables_order_is_exact():
     for _, ps in mixed_sets(12, 4, 24, seed=8088):
         _assert_exact_tables(*dual_coefficients(ps))
     _assert_exact_tables(*dual_coefficients(trusted_point_set(_NEAR_TIES)))
-    # past the float range: a float key of these crossings overflows
+    # 2^1100-scaled coordinates: the scale cancels in each quotient, so
+    # the float keys stay in range (an overflowing key is tested below)
     ps = next(iter(random_sets(1, 12, 12, seed=1100)))
     scale = 1 << 1100
     _assert_exact_tables(*dual_coefficients(
@@ -511,19 +512,70 @@ def test_exact_resort_survives_adversarial_near_ties():
     assert exit_edges_dual(ps) == exit_edges_bruteforce(ps)
 
 
-def test_vectorized_exact_resort_of_a_failed_row(monkeypatch):
-    # row 0 fails the float certification of the numpy tables: the float
-    # keys of two of its crossings tie, and its exact re-sort does not raise
-    k = (1 << 29) - 1
-    ps = certify_general_position([(0, 0), (-k, -(k - 1)), (-(k - 2), -(k - 3)), (5, 7), (-11, 3)])
+def _spy_exact_row(monkeypatch, module):
+    """The rows i that module's _exact_row re-sorts, as they are sorted."""
     resorted = []
-    exact_row = fastscan._exact_row
+    exact_row = module._exact_row
 
     def spy(a, qb, i, row):
         resorted.append(i)
         return exact_row(a, qb, i, row)
 
-    monkeypatch.setattr(fastscan, "_exact_row", spy)
+    monkeypatch.setattr(module, "_exact_row", spy)
+    return resorted
+
+
+@pytest.mark.parametrize("pts, resorted_rows", [
+    # line 1 crosses line 0 at x = 2^1030, and every other line past
+    # 2^1027: each row has a key that overflows
+    ([(0, 0), (1, 2 ** 1030), (2, 5), (3, -7), (5, 11), (8, 2)], [0, 1, 2, 3, 4, 5]),
+    # on line 0, lines 1 and 2 cross at (k-1)/k and (k-3)/(k-2), which
+    # differ by about 2^-120: distinct crossings with one float key, and
+    # the two nearly equal lines tie likewise on every other line
+    ([(0, 0), (-(2 ** 60 - 1), -(2 ** 60 - 2)), (-(2 ** 60 - 3), -(2 ** 60 - 4)), (5, 7), (-11, 3)],
+     [0, 1, 2, 3, 4]),
+    # small coordinates: every key differs, and no row is re-sorted
+    ([(-5, 5), (5, 5), (-5, -5), (5, -5), (-3, 2), (-3, -2)], []),
+])
+def test_python_tables_resort_exactly_the_rows_whose_keys_fail(monkeypatch, pts, resorted_rows):
+    ps = certify_general_position(pts)
+    resorted = _spy_exact_row(monkeypatch, dual)
+    assert exit_edges_dual(ps) == exit_edges_bruteforce(ps)
+    assert resorted == resorted_rows
+    _assert_exact_tables(*dual_coefficients(ps))
+
+
+def test_concurrent_lines_name_the_same_labels_on_both_backends():
+    # dense grids hold many collinear triples, planted ones one or a few:
+    # both backends raise for the first row with two coinciding crossings
+    seen = Counter()
+    for kind, pts in grid_sets(range(64, 72), seed=2929):
+        ps = trusted_point_set(pts)
+        a, b = dual._dual_coefficients(ps)
+        assert fastscan.coords_are_safe(a, b)
+        try:
+            certify_general_position(ps.int_coords)
+            continue
+        except CollinearTripleError as err:
+            triple = err.labels
+        with pytest.raises(ConcurrentLinesError) as fast:
+            _exit_edges_vectorized(a, b, len(ps))
+        with pytest.raises(ConcurrentLinesError) as python:
+            dual._exit_codes(a, b)
+        assert fast.value.labels == python.value.labels
+        # the first row with a tie is the smallest label on any collinear
+        # triple, the first label of the triple that certification names
+        assert fast.value.labels[0] == triple[0]
+        seen[kind] += 1
+    assert seen["dense"] == 8 and seen["planted"] >= 6, seen
+
+
+def test_vectorized_exact_resort_of_a_failed_row(monkeypatch):
+    # row 0 fails the float certification of the numpy tables: the float
+    # keys of two of its crossings tie, and its exact re-sort does not raise
+    k = (1 << 29) - 1
+    ps = certify_general_position([(0, 0), (-k, -(k - 1)), (-(k - 2), -(k - 3)), (5, 7), (-11, 3)])
+    resorted = _spy_exact_row(monkeypatch, fastscan)
     a, b = dual_coefficients(ps)
     assert _exit_edges_vectorized(a, b, len(ps)) == exit_edges_bruteforce(ps)
     assert 0 in resorted
