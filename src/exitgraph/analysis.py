@@ -18,8 +18,7 @@ from .dual import (
     ConcurrentLinesError,
     ExitGraph,
     _dual_coefficients,
-    _exit_codes,
-    _exit_graph,
+    _python_exit_graph,
     _witness_set,
     exit_edges_dual,
 )
@@ -73,7 +72,7 @@ def stats_report(ps: PointSet) -> StatsReport:
     """
     if len(ps) < 4:
         raise TooFewPointsError("statistics need at least 4 points")
-    return exit_graph_stats(ps, _exit_graph(_exit_codes(*_dual_coefficients(ps)), len(ps)))
+    return exit_graph_stats(ps, _python_exit_graph(*_dual_coefficients(ps)))
 
 
 def exit_graph_stats(ps: PointSet, edges: ExitGraph) -> StatsReport:

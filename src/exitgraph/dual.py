@@ -25,25 +25,26 @@ pairwise distinct are in the exact order.  Only a row with a repeated
 key, or with a key past the float range, is sorted by ``_exact_row``
 on exact integer keys.  Coinciding crossings have equal x and so equal
 keys: concurrent lines always reach ``_exact_row``, which names them.
-The pure-Python path (``crossing_tables``) keeps one n x n successor
-table, nxt[i][j] the crossing that follows j on line i, cyclically:
-whether two crossings are adjacent, and which way the arc between them
-runs, are lookups in it; ``fastscan.crossing_tables_np`` keeps order
-and rank tables instead.  ``crossing_orders`` derives the linear orders
-and ranks that the full arrangement needs from the same sorted rows.
 
-One pure-Python scan, ``_scan_cells``, makes these tests over the pairs
-j > i of each line i and finds what its numpy counterpart
-``fastscan.scan_exit_items_np`` finds: one exit vertex key a*n + b and
-witness w per unmarked cell, here one integer code (a*n + b)*n + w in a
-list.  ``_exit_graph`` sorts that list once and reads each vertex's
-witnesses from adjacent entries, as ``fastscan.exit_graph_np`` does the
-numpy codes, and every other view reads the ``ExitGraph`` it builds:
-the exit edge ab with the witness w is the unmarked cell on the
-lines a, b and w, and the marked cell, at vertical infinity, is bounded
-by the duals of the convex hull's vertices.  ``exit_edges_dual`` returns
-the graph, ``dual_triangles`` (and through it ``hourglasses`` and the
-dual SVG) derives the cells from it and the hull, and
+Both backends keep the orders in one format, the n x n successor table
+of ``crossing_tables`` (``fastscan.successor_table_np`` builds the same
+table as an int32 array): nxt[i][j] is the crossing that follows j on
+line i, cyclically, so whether two crossings are adjacent, and which way
+the arc between them runs, are lookups in it.  ``crossing_orders``
+derives the linear orders and ranks that the full arrangement needs from
+the same sorted rows.
+
+Both scans, ``_scan_cells`` here and ``fastscan.scan_codes_np``, make
+these lookups over the pairs j > i of each line i and write one integer
+code (a*n + b)*n + w per unmarked cell: its exit vertex a < b and its
+witness line w.  ``_exit_graph``, like ``fastscan.exit_graph_np``, sorts
+the codes once and reads each vertex's witnesses from adjacent entries,
+and every other view reads the ``ExitGraph`` it builds: the exit edge ab
+with the witness w is the unmarked cell on the lines a, b and w, and the
+marked cell, at vertical infinity, is bounded by the duals of the convex
+hull's vertices.  ``exit_edges_dual`` returns the graph,
+``dual_triangles`` (and through it ``hourglasses`` and the dual SVG)
+derives the cells from it and the hull, and
 ``analysis.exit_graph_stats`` counts them.  Three lines have two crossings
 each, so their four cells cannot be told apart by adjacency: n = 3 is
 decided by a closed form instead, before any scan.
@@ -236,7 +237,7 @@ class Hourglass:
 def _scan_cells(nxt: list[list[int]]) -> list[int]:
     """The code (a*n + b)*n + w of every unmarked triangular cell, each
     found once, from its smallest line i: the exit vertex a < b and the
-    witness line w, as fastscan.scan_exit_items_np finds them.  Needs at
+    witness line w, as fastscan.scan_codes_np finds them.  Needs at
     least 4 lines, so m = n - 1 >= 3 crossings per line.
 
     The cell's arc on line i joins its crossing with j to the next one,
@@ -338,7 +339,7 @@ def dual_triangles(ps: PointSet) -> list[DualTriangle]:
         raise TooFewPointsError("dual triangle scan needs at least 3 points")
     a, b = _dual_coefficients(ps)
     tris = []
-    for x, y, w0, w1 in zip(*_exit_graph(_exit_codes(a, b), len(a)).columns()):
+    for x, y, w0, w1 in zip(*_python_exit_graph(a, b).columns()):
         for w in (w0,) if w1 < 0 else (w0, w1):
             tris.append(_triangle(a, (x, y, w), (x, y), w))
     hull = convex_hull(ps)
@@ -428,9 +429,9 @@ def _exit_graph(codes: list[int], n: int) -> ExitGraph:
     """The exit graph of the pure-Python scan's codes (a*n + b)*n + w, one
     per unmarked cell: its exit vertex a < b and witness line w.
 
-    Sorts ``codes`` in place, once, as fastscan.exit_graph_np sorts its
-    codes: each vertex's witnesses are then adjacent entries, ascending,
-    so a second witness is the next entry and a third raises.
+    Sorts ``codes`` in place, once, as fastscan.exit_graph_np sorts the
+    numpy scan's: each vertex's witnesses are then adjacent entries,
+    ascending, so a second witness is the next entry and a third raises.
     """
     codes.sort()
     a, b, w0, w1 = cols = array("q"), array("q"), array("q"), array("q")
@@ -448,6 +449,12 @@ def _exit_graph(codes: list[int], n: int) -> ExitGraph:
         else:
             raise _triple_witness_error(key, n)
     return ExitGraph(*cols)
+
+
+def _python_exit_graph(a: list[int], b: list[int]) -> ExitGraph:
+    """The exit graph of the lines y = a[i]*x + b[i], n >= 3, from the
+    pure-Python tables and scan, which never load numpy."""
+    return _exit_graph(_exit_codes(a, b), len(a))
 
 
 # below this size the vectorized path is not worth its setup cost (and
@@ -470,10 +477,9 @@ def coords_are_safe(a: Sequence[int], b: Sequence[int]) -> bool:
 def _exit_edges_vectorized(a: list[int], b: list[int], n: int) -> ExitGraph:
     from . import fastscan
 
-    # nested calls: the n x n order and rank tables live only as the
-    # scan's arguments, so they are freed before the grouping allocates
-    return fastscan.exit_graph_np(
-        *fastscan.scan_exit_items_np(*fastscan.crossing_tables_np(a, b)), n)
+    # nested calls: the n x n successor table lives only as the scan's
+    # argument, so it is freed before the grouping allocates
+    return fastscan.exit_graph_np(fastscan.scan_codes_np(fastscan.successor_table_np(a, b)), n)
 
 
 def exit_edges_dual(ps: PointSet) -> ExitGraph:
@@ -481,7 +487,7 @@ def exit_edges_dual(ps: PointSet) -> ExitGraph:
     (edge, witness) pair; hourglasses merge into two-witness edges.
 
     Returns an ExitGraph whose columns come straight from the scan's
-    items: numpy arrays from 64 points on while the sheared coordinates
+    codes: numpy arrays from 64 points on while the sheared coordinates
     stay within ``MAX_SAFE_COORD``, grouped by
     ``fastscan.exit_graph_np`` with one sort, and ``array.array`` from
     the pure-Python scan otherwise, grouped by ``_exit_graph``, so
@@ -496,4 +502,4 @@ def exit_edges_dual(ps: PointSet) -> ExitGraph:
     a, b = _dual_coefficients(ps)
     if n >= _VECTOR_THRESHOLD and coords_are_safe(a, b):
         return _exit_edges_vectorized(a, b, n)
-    return _exit_graph(_exit_codes(a, b), n)
+    return _python_exit_graph(a, b)

@@ -4,7 +4,7 @@ Every predicate in this module (and everything built on top of it) is
 decided by arbitrary-precision integer arithmetic; sign computations on
 almost collinear triples therefore never go wrong.  Floating point
 enters at one step only, the sort of the dual crossings along each line
-(dual._sorted_rows and fastscan.crossing_tables_np), and decides
+(dual._sorted_rows and fastscan.successor_table_np), and decides
 nothing there: a correctly rounded key is a monotone function of the
 exact crossing, so keys that differ are in the exact order, and a row
 with two equal keys is re-sorted on exact integer keys.

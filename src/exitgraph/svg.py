@@ -15,7 +15,7 @@ from __future__ import annotations
 from decimal import Context, Decimal
 from fractions import Fraction
 
-from .dual import _dual_coefficients, _exit_codes, _exit_graph, _infinity_arcs
+from .dual import _dual_coefficients, _infinity_arcs, _python_exit_graph
 from .geometry import PointSet, TooFewPointsError, convex_hull, shear_to_generic
 
 # one context for every number: a localcontext per call cost as much as
@@ -230,14 +230,13 @@ def dual_cell_polygons(ps: PointSet):
     equals the intersection of its three bounding halfplanes, so
     clipping those against the viewport reproduces it exactly.
     """
-    n = len(ps)
-    if n < 3:
+    if len(ps) < 3:
         raise TooFewPointsError("dual triangle scan needs at least 3 points")
     sheared, _ = shear_to_generic(ps)
     a, b = _dual_coefficients(sheared)  # the shear of a sheared set is the identity
     s = sheared.scale
     cells = []
-    for p, q, w0, w1 in zip(*_exit_graph(_exit_codes(a, b), n).columns()):
+    for p, q, w0, w1 in zip(*_python_exit_graph(a, b).columns()):
         for w in (w0,) if w1 < 0 else (w0, w1):
             lines = (w, p, q) if w < p else (p, w, q) if w < q else (p, q, w)
             cells.append((lines, _infinity_arcs(a, p, q, w), (p, q)))

@@ -63,7 +63,7 @@ _NEAR_TIES = [(0, 0), (1, 10 ** 9), (10 ** 9, 1), (10 ** 9 + 1, -10 ** 9), (2, 2
 def _assert_exact_tables(a, b):
     """order[i] is the Fraction-sorted x of the crossings on line i, rank
     is its inverse, the successor table nxt[i] maps each crossing to the
-    next one cyclically, and the numpy tables agree where they are safe."""
+    next one cyclically, and the numpy table equals it where it is safe."""
     n = len(a)
     order, rank = crossing_orders(a, b)
     nxt = crossing_tables(a, b)
@@ -73,10 +73,8 @@ def _assert_exact_tables(a, b):
         assert [rank[i][j] for j in order[i]] == list(range(n - 1))
         assert nxt[i][i] == -1
         assert [nxt[i][j] for j in order[i]] == order[i][1:] + order[i][:1]
-    if fastscan.coords_are_safe(a, b):
-        order_np, rank_np = fastscan.crossing_tables_np(a, b)
-        assert order_np.tolist() == order
-        assert rank_np.tolist() == [[r.get(j, -1) for j in range(n)] for r in rank]
+    if dual.coords_are_safe(a, b):
+        assert fastscan.successor_table_np(a, b).tolist() == nxt
 
 
 def test_crossing_tables_order_is_exact():
@@ -93,7 +91,7 @@ def test_crossing_tables_order_is_exact():
     # integer grids from 64 points on: sheared sets on the numpy path
     for _, ps in mixed_sets(3, 64, 80, seed=6480, kinds=("int",)):
         a, b = dual_coefficients(ps)
-        assert fastscan.coords_are_safe(a, b)
+        assert dual.coords_are_safe(a, b)
         _assert_exact_tables(a, b)
 
 
@@ -166,8 +164,8 @@ def test_vectorized_path_matches_bruteforce_on_small_sets():
 
 
 def test_blocked_tables_and_scan_match_one_block(monkeypatch):
-    # the numpy tables and scan run over blocks of rows; blocks of one
-    # row, and blocks that leave a remainder, give the same tables and edges
+    # the numpy table and scan run over blocks of rows; blocks of one
+    # row, and blocks that leave a remainder, give the same table and edges
     for ps in random_sets(60, 4, 12, seed=3300):
         a, b = dual_coefficients(ps)
         with monkeypatch.context() as m:
@@ -176,16 +174,14 @@ def test_blocked_tables_and_scan_match_one_block(monkeypatch):
     for n in (64, 75, 100):
         ps = next(iter(random_sets(1, n, n, seed=3300 + n)))
         a, b = dual_coefficients(ps)
-        order, rank = fastscan.crossing_tables_np(a, b)
+        nxt = fastscan.successor_table_np(a, b)
         with monkeypatch.context() as m:
             m.setattr(dual, "_VECTOR_THRESHOLD", 10 ** 9)  # the pure-Python scan
             python = exit_edges_dual(ps)
         for slots in (1, 7 * n):
             with monkeypatch.context() as m:
                 m.setattr(fastscan, "_BLOCK_SLOTS", slots)
-                blocked_order, blocked_rank = fastscan.crossing_tables_np(a, b)
-                assert np.array_equal(blocked_order, order)
-                assert np.array_equal(blocked_rank, rank)
+                assert np.array_equal(fastscan.successor_table_np(a, b), nxt)
                 assert _exit_edges_vectorized(a, b, n) == python
 
     # a row that fails certification in a later block is still re-sorted
@@ -199,59 +195,71 @@ def test_blocked_tables_and_scan_match_one_block(monkeypatch):
         exit_edges_dual(ps)
 
 
-def _codes(items, n):
-    """The codes key*n + w of (exit vertex key, witness) items."""
-    return [key * n + w for key, w in items]
+def test_numpy_scan_writes_the_python_scan_codes(monkeypatch):
+    # both scans read the same successor table and write one code per
+    # unmarked cell, in blocks of one row and of the default size
+    for n in range(64, 101):
+        ps = next(iter(random_sets(1, n, n, seed=3400 + n)))
+        a, b = dual_coefficients(ps)
+        python = sorted(dual._scan_cells(crossing_tables(a, b)))
+        for slots in (1, fastscan._BLOCK_SLOTS):
+            with monkeypatch.context() as m:
+                m.setattr(fastscan, "_BLOCK_SLOTS", slots)
+                nxt = fastscan.successor_table_np(a, b)
+                codes = fastscan.scan_codes_np(nxt)
+            assert codes.dtype == np.int64
+            assert sorted(codes.tolist()) == sorted(dual._scan_cells(nxt.tolist())) == python
+
+
+def _both_builders(codes, n):
+    """The exit graphs that dual._exit_graph and fastscan.exit_graph_np
+    build from the same codes (a*n + b)*n + w; each sorts its own copy."""
+    return (dual._exit_graph(list(codes), n),
+            fastscan.exit_graph_np(np.array(codes, dtype=np.int64), n))
 
 
 def test_exit_edge_builder_refuses_three_witnesses():
     # each backend fills its columns in one builder; in general position
-    # no exit vertex gathers three witnesses
+    # no exit vertex gathers three witnesses.  With n = 4 the code of the
+    # exit vertex (1, 2) and the witness 0 is (1*4 + 2)*4 + 0 = 24
     expected = (ExitEdge((0, 1), frozenset({2, 3})), ExitEdge((1, 2), frozenset({0})))
-    python = dual._exit_graph(_codes([(6, 0), (1, 3), (1, 2)], 4), 4)
-    keys, wits = np.array([6, 1, 1], dtype=np.int64), np.array([0, 3, 2], dtype=np.int32)
-    vectorized = fastscan.exit_graph_np(keys, wits, 4)
-    for graph in (python, vectorized):
+    for graph in _both_builders([24, 7, 6], 4):
         assert graph == expected
         assert [c.tolist() for c in (graph.a, graph.b, graph.w0, graph.w1)] == [
             [0, 1], [1, 2], [2, 0], [3, -1]]
     with pytest.raises(TripleSharedExitVertexError):
-        dual._exit_graph(_codes([(1, 2), (1, 3), (1, 4)], 5), 5)
-    keys, wits = np.array([1, 1, 1], dtype=np.int64), np.array([2, 3, 4], dtype=np.int32)
+        dual._exit_graph([7, 8, 9], 5)
     with pytest.raises(TripleSharedExitVertexError):
-        fastscan.exit_graph_np(keys, wits, 5)
+        fastscan.exit_graph_np(np.array([7, 8, 9], dtype=np.int64), 5)
 
 
+# items: hand-made scan codes (a*n + b)*n + w in any order; with n = 10
+# or 1000 the decimal digits of a code read a, b and w
 @pytest.mark.parametrize("items, n", [
-    ([(7, 4)], 5),
-    ([(7, 4), (7, 0)], 5),  # two witnesses, given in descending order
-    ([(23, 0), (3, 9), (18, 2), (3, 4), (23, 1), (19, 6)], 10),
-    ([(998999, 997), (998999, 0), (1, 999), (1, 2), (1005, 3)], 1000),  # the largest labels
+    ([39], 5),  # (1, 2) with the witness 4
+    ([39, 35], 5),  # two witnesses, given in descending order
+    ([230, 39, 182, 34, 231, 196], 10),
+    ([998999997, 998999000, 1999, 1002, 1005003], 1000),  # the largest labels
 ])
 def test_numpy_exit_graph_builder_matches_the_python_one(items, n):
-    # hand-made scan items in any order: on both backends one sort of the
-    # codes key*n + w groups each vertex's witnesses, w0 < w1
-    keys = np.array([k for k, _ in items], dtype=np.int64)
-    wits = np.array([w for _, w in items], dtype=np.int32)
-    graph = fastscan.exit_graph_np(keys, wits, n)
-    python = dual._exit_graph(_codes(items, n), n)
+    # on both backends one sort of the codes groups each vertex's
+    # witnesses, w0 < w1
+    python, graph = _both_builders(items, n)
     assert graph.columns() == python.columns()
     assert all(w0 < w1 for w0, w1 in zip(graph.w0.tolist(), graph.w1.tolist()) if w1 >= 0)
-    assert _reference_edges(items, n) == tuple(graph)
+    assert _reference_edges([divmod(code, n) for code in items], n) == tuple(graph)
 
 
 @pytest.mark.parametrize("items, n", [
-    ([(1, 4), (1, 2), (1, 3)], 5),
-    ([(1, 2), (23, 5), (7, 0), (23, 9), (1, 3), (23, 6), (7, 3), (7, 1)], 10),
-    ([(k, w) for k in (900, 5, 999) for w in (1, 2, 3, 4)], 1000),
+    ([9, 7, 8], 5),
+    ([12, 235, 70, 239, 13, 236, 73, 71], 10),
+    ([k * 1000 + w for k in (900, 5, 999) for w in (1, 2, 3, 4)], 1000),
 ])
 def test_numpy_exit_graph_builder_refuses_a_third_witness_as_python_does(items, n):
-    keys = np.array([k for k, _ in items], dtype=np.int64)
-    wits = np.array([w for _, w in items], dtype=np.int32)
     with pytest.raises(TripleSharedExitVertexError) as python:
-        dual._exit_graph(_codes(items, n), n)
+        dual._exit_graph(list(items), n)
     with pytest.raises(TripleSharedExitVertexError) as vectorized:
-        fastscan.exit_graph_np(keys, wits, n)
+        fastscan.exit_graph_np(np.array(items, dtype=np.int64), n)
     assert str(vectorized.value) == str(python.value)
 
 
@@ -285,8 +293,9 @@ def _reference_python(a, b):
 
 
 def _reference_vectorized(a, b):
-    keys, wits = fastscan.scan_exit_items_np(*fastscan.crossing_tables_np(a, b))
-    return _reference_edges(zip(keys.tolist(), wits.tolist()), len(a))
+    n = len(a)
+    codes = fastscan.scan_codes_np(fastscan.successor_table_np(a, b))
+    return _reference_edges([divmod(code, n) for code in codes.tolist()], n)
 
 
 _SLICES = (slice(None), slice(1, None), slice(None, -1), slice(-3, None),
@@ -313,7 +322,7 @@ def test_exit_graph_matches_tuple_builder_on_both_backends(monkeypatch):
         a, b = dual_coefficients(ps)
         _assert_same_edges(exit_edges_dual(ps), _reference_python(a, b))
         backends["python"] += 1
-        if fastscan.coords_are_safe(a, b):
+        if dual.coords_are_safe(a, b):
             _assert_same_edges(_exit_edges_vectorized(a, b, len(ps)),
                                _reference_vectorized(a, b))
             backends["numpy"] += 1
@@ -373,7 +382,7 @@ def test_three_points_take_the_closed_form(monkeypatch):
     def no_numpy_scan(*args):
         raise AssertionError("the numpy scan ran on three points")
 
-    monkeypatch.setattr(fastscan, "scan_exit_items_np", no_numpy_scan)
+    monkeypatch.setattr(fastscan, "scan_codes_np", no_numpy_scan)
     count = 0
     for _, ps in mixed_sets(240, 3, 3, seed=2727):
         assert exit_edges_dual(ps) == exit_edges_bruteforce(ps)
@@ -403,7 +412,7 @@ def test_dual_scan_ties_iff_certification_finds_a_collinear_triple(ns, scale, ve
     for kind, pts in grid_sets(ns, seed, scale):
         ps = trusted_point_set(pts)
         assert (len(ps) >= dual._VECTOR_THRESHOLD
-                and fastscan.coords_are_safe(*dual._dual_coefficients(ps))) == vectorized
+                and dual.coords_are_safe(*dual._dual_coefficients(ps))) == vectorized
         try:
             certify_general_position(pts)
             collinear = False
@@ -460,8 +469,7 @@ def test_coordinates_past_the_numpy_bound_never_load_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert fastscan.coords_are_safe is dual.coords_are_safe
-    assert fastscan.MAX_SAFE_COORD == dual.MAX_SAFE_COORD == 1 << 29
+    assert dual.MAX_SAFE_COORD == 1 << 29
 
 
 def _successor_graph(ps):
@@ -495,12 +503,12 @@ def test_successor_scan_matches_numpy_from_64_points():
         g = gcd(*(v for x, y in grid for v in (x - x0, y - y0)))
         reduced = trusted_point_set([((x - x0) // g, (y - y0) // g) for x, y in grid])
         a, b = dual_coefficients(reduced)
-        assert fastscan.coords_are_safe(a, b)
+        assert dual.coords_are_safe(a, b)
         vectorized = _exit_edges_vectorized(a, b, len(ps))
         scaled = trusted_point_set([(x << 40, y << 40) for x, y in grid])
         for copy in ps, scaled:
             assert _successor_graph(copy) == vectorized
-        assert not fastscan.coords_are_safe(*dual_coefficients(scaled))
+        assert not dual.coords_are_safe(*dual_coefficients(scaled))
         kinds[kind] += 1
     assert kinds == {"rational": 3, "big": 3}, kinds
 
@@ -552,7 +560,7 @@ def test_concurrent_lines_name_the_same_labels_on_both_backends():
     for kind, pts in grid_sets(range(64, 72), seed=2929):
         ps = trusted_point_set(pts)
         a, b = dual._dual_coefficients(ps)
-        assert fastscan.coords_are_safe(a, b)
+        assert dual.coords_are_safe(a, b)
         try:
             certify_general_position(ps.int_coords)
             continue
