@@ -8,22 +8,16 @@ properties, and emit deterministic reports and SVG figures.
 
 from .geometry import (
     CollinearTripleError,
-    DegenerateLineError,
     DuplicatePointError,
     ExitEdge,
     GeometryError,
-    OnLineError,
-    Orientation,
     Point,
     PointSet,
-    SharedEndpointError,
+    SizeMismatchError,
     TooFewPointsError,
     certify_general_position,
     convex_hull,
-    line_separates,
-    orientation,
     point,
-    segments_cross,
     shear_to_generic,
     trusted_point_set,
 )
@@ -34,38 +28,16 @@ from .oracle import (
     enumerate_four_holes,
     exit_edges_bruteforce,
     exit_edges_via_holes,
-    four_holes_at_edge,
     is_exit_edge_with_witness,
-    witness_side,
 )
 from .dual import (
     ConcurrentLinesError,
-    DualLine,
     DualTriangle,
     ExitGraph,
-    Hourglass,
     NonDistinctSlopesError,
     TripleSharedExitVertexError,
-    crossing_position,
     dual_triangles,
-    dualize,
     exit_edges_dual,
-    hourglasses,
-)
-from .arrangement import (
-    ArrangementVertex,
-    ProjectiveArrangement,
-    ProjectiveCell,
-    ProjectiveEdge,
-    TriangularCell,
-    build_arrangement,
-    crossing_halfplane_has_private_triangle,
-    line_triangle_counts,
-    marked_cell,
-    marked_cell_by_orientation,
-    orient_lines,
-    peel_orientation,
-    triangular_cells,
 )
 from .analysis import (
     ExitStructureComparison,
@@ -74,14 +46,12 @@ from .analysis import (
     compare_exit_structures,
     exit_graph_crossings,
     exit_graph_stats,
-    find_order_type_bijection,
     outer_face_vertices,
     random_general_position,
     same_order_type_labeled,
     search_min_exit_edges,
     stats_report,
 )
-from .geometry import SizeMismatchError
 from .morph import (
     ImmediateDegeneracyError,
     MorphEvent,

@@ -1,8 +1,8 @@
 """Counting reports, structural checks and randomized search.
 
-Everything here consumes the dual triangle scan and the primal oracles;
-all verdicts are computed exactly and reported per instance rather than
-assumed.
+Everything here reads the exit graph of the dual scan, or the integer
+grid of the point set; all verdicts are computed exactly and reported
+per instance rather than assumed.
 """
 
 from __future__ import annotations
@@ -83,8 +83,9 @@ def exit_graph_stats(ps: PointSet, edges: ExitGraph) -> StatsReport:
     witness w of an exit edge ab is the unmarked cell on the lines a, b
     and w, an edge with two witnesses is an hourglass, and the marked
     cell is triangular iff the hull has three vertices, whose lines
-    bound it.  The same numbers as dual_triangles and hourglasses give,
-    in O(n) memory past the graph.
+    bound it.  The same numbers as counting the cells of dual_triangles
+    and pairing those that share an exit vertex, in O(n) memory past the
+    graph.
     """
     n = len(ps)
     if n < 4:
@@ -357,42 +358,6 @@ def same_order_type_labeled(s: PointSet, t: PointSet) -> bool:
     return _first_orientation_mismatch(s, t) is None
 
 
-def find_order_type_bijection(s: PointSet, t: PointSet) -> list[int] | None:
-    """Search for a relabeling of t matching s's order type.
-
-    Factorial-time debugging aid, deliberately capped at n <= 8.
-    """
-    if len(s) != len(t):
-        raise SizeMismatchError(f"sizes differ: {len(s)} vs {len(t)}")
-    n = len(s)
-    if n > 8:
-        raise ValueError("bijection search is restricted to n <= 8")
-    gs, gt = s.int_coords, t.int_coords
-
-    def extend(phi: list[int], used: set[int]) -> list[int] | None:
-        if len(phi) == n:
-            return phi
-        i = len(phi)
-        for cand in range(n):
-            if cand in used:
-                continue
-            ok = True
-            for a in range(i):
-                for b in range(a + 1, i):
-                    if turn(gs[a], gs[b], gs[i]) != turn(gt[phi[a]], gt[phi[b]], gt[cand]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                res = extend(phi + [cand], used | {cand})
-                if res is not None:
-                    return res
-        return None
-
-    return extend([], set())
-
-
 @dataclass(frozen=True)
 class ExitStructureComparison:
     """Labeled comparison of two sets' exit structures and order types."""
@@ -447,13 +412,10 @@ def _first_accepted(n: int, rng: random.Random, span: int, accept):
             continue
 
 
-def random_general_position(n: int, rng: random.Random,
-                            span: int | None = None) -> PointSet:
+def random_general_position(n: int, rng: random.Random) -> PointSet:
     """A certified set of n integer points drawn uniformly from a square
     of side 4n^2, rejection-sampled until in general position."""
-    if span is None:
-        span = 4 * n * n
-    return _first_accepted(n, rng, span, certify_general_position)
+    return _first_accepted(n, rng, 4 * n * n, certify_general_position)
 
 
 def _scanned(points: list[tuple[int, int]]) -> tuple[PointSet, ExitGraph]:

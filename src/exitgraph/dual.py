@@ -5,7 +5,7 @@ plane the n dual lines cut out a cell complex; every exit edge of the
 primal set corresponds to one or two unmarked triangular cells of that
 complex.  This module finds those triangles directly from the per-line
 crossing orders in O(n^2) time and O(n^2) memory, without materializing
-the full cell complex (see arrangement.py for that).
+the full cell complex.
 
 How triangles are found: along each line, its n-1 crossings are cyclically
 ordered (the gap between the last and the first crossing is the arc
@@ -30,9 +30,7 @@ Both backends keep the orders in one format, the n x n successor table
 of ``crossing_tables`` (``fastscan.successor_table_np`` builds the same
 table as an int32 array): nxt[i][j] is the crossing that follows j on
 line i, cyclically, so whether two crossings are adjacent, and which way
-the arc between them runs, are lookups in it.  ``crossing_orders``
-derives the linear orders and ranks that the full arrangement needs from
-the same sorted rows.
+the arc between them runs, are lookups in it.
 
 Both scans, ``_scan_cells`` here and ``fastscan.scan_codes_np``, make
 these lookups over the pairs j > i of each line i and write one integer
@@ -43,11 +41,11 @@ and every other view reads the ``ExitGraph`` it builds: the exit edge ab
 with the witness w is the unmarked cell on the lines a, b and w, and the
 marked cell, at vertical infinity, is bounded by the duals of the convex
 hull's vertices.  ``exit_edges_dual`` returns the graph,
-``dual_triangles`` (and through it ``hourglasses`` and the dual SVG)
-derives the cells from it and the hull, and
-``analysis.exit_graph_stats`` counts them.  Three lines have two crossings
-each, so their four cells cannot be told apart by adjacency: n = 3 is
-decided by a closed form instead, before any scan.
+``dual_triangles`` derives the cell objects from it and the hull, the
+dual SVG reads its cells from it, and ``analysis.exit_graph_stats``
+counts them.  Three lines have two crossings each, so their four cells
+cannot be told apart by adjacency: n = 3 is decided by a closed form
+instead, before any scan.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import (ExitEdge, GeometryError, PointSet, TooFewPointsError, convex_hull,
@@ -75,36 +72,6 @@ class ConcurrentLinesError(GeometryError):
 
 class TripleSharedExitVertexError(GeometryError):
     pass
-
-
-@dataclass(frozen=True)
-class DualLine:
-    """The non-vertical line y = slope*x + intercept, dual to the point
-    (slope, -intercept)."""
-
-    slope: Fraction
-    intercept: Fraction
-    source: int
-
-    def y_at(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
-
-
-def dualize(ps: PointSet) -> list[DualLine]:
-    """Dual lines of the point set; requires pairwise distinct x."""
-    seen: dict[Fraction, int] = {}
-    for i, p in enumerate(ps.points):
-        if p.x in seen:
-            raise NonDistinctSlopesError(
-                f"points {seen[p.x]} and {i} share x = {p.x}; shear first")
-        seen[p.x] = i
-    return [DualLine(p.x, -p.y, i) for i, p in enumerate(ps.points)]
-
-
-def crossing_position(la: DualLine, lb: DualLine) -> tuple[Fraction, Fraction]:
-    """Exact intersection point of two dual lines."""
-    x = (lb.intercept - la.intercept) / (la.slope - lb.slope)
-    return x, la.y_at(x)
 
 
 def _scaled_intercepts(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -197,18 +164,6 @@ def crossing_tables(a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
     return nxt
 
 
-def crossing_orders(a: Sequence[int], b: Sequence[int]) -> tuple[list[list[int]], list[dict]]:
-    """The linear crossing orders of the lines y = a[i]*x + b[i], which
-    the full arrangement walks.
-
-    Returns (order, rank): order[i] lists the other lines sorted by the x
-    of their crossing with line i, and rank[i] maps each of them to its
-    position in order[i].
-    """
-    order = list(_sorted_rows(a, b))
-    return order, [{j: pos for pos, j in enumerate(row)} for row in order]
-
-
 @dataclass(frozen=True)
 class DualTriangle:
     """A triangular cell of the projective dual arrangement.
@@ -224,14 +179,6 @@ class DualTriangle:
     marked: bool
     exit_vertex: tuple[int, int] | None
     witness_line: int | None
-
-
-@dataclass(frozen=True)
-class Hourglass:
-    """Two unmarked triangular cells sharing an exit vertex."""
-
-    cells: tuple[DualTriangle, DualTriangle]
-    shared_exit_vertex: tuple[int, int]
 
 
 def _scan_cells(nxt: list[list[int]]) -> list[int]:
@@ -347,22 +294,6 @@ def dual_triangles(ps: PointSet) -> list[DualTriangle]:
         tris.append(_triangle(a, hull, None, None))
     tris.sort(key=lambda t: (t.lines, sorted(t.unbounded_lines)))
     return tris
-
-
-def hourglasses(tris: Sequence[DualTriangle]) -> list[Hourglass]:
-    """Pair up unmarked triangles sharing an exit vertex."""
-    groups: dict[tuple[int, int], list[DualTriangle]] = {}
-    for t in tris:
-        if not t.marked:
-            groups.setdefault(t.exit_vertex, []).append(t)
-    out = []
-    for vertex, cells in sorted(groups.items()):
-        if len(cells) > 2:
-            raise TripleSharedExitVertexError(
-                f"{len(cells)} triangles share exit vertex {vertex}")
-        if len(cells) == 2:
-            out.append(Hourglass((cells[0], cells[1]), vertex))
-    return out
 
 
 class ExitGraph(Sequence[ExitEdge]):

@@ -1,7 +1,10 @@
-"""Exact planar geometry primitives over rational coordinates.
+"""Exact planar geometry: the point set, the exit-edge type and the
+primitives that everything else builds on.
 
-Every predicate in this module (and everything built on top of it) is
-decided by arbitrary-precision integer arithmetic; sign computations on
+A point set is an integer grid over one positive scale.  ``turn``, the
+one orientation predicate, runs on that grid, as do the certification
+of general position, the convex hull and the shear, so every decision
+is made by arbitrary-precision integer arithmetic; sign computations on
 almost collinear triples therefore never go wrong.  Floating point
 enters at one step only, the sort of the dual crossings along each line
 (dual._sorted_rows and fastscan.successor_table_np), and decides
@@ -13,7 +16,6 @@ with two equal keys is re-sorted on exact integer keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -42,28 +44,8 @@ class TooFewPointsError(GeometryError):
     pass
 
 
-class DegenerateLineError(GeometryError):
-    pass
-
-
-class OnLineError(GeometryError):
-    pass
-
-
-class SharedEndpointError(GeometryError):
-    pass
-
-
 class SizeMismatchError(GeometryError):
     pass
-
-
-class Orientation(Enum):
-    """Turn direction of an ordered point triple."""
-
-    CLOCKWISE = -1
-    COLLINEAR = 0
-    COUNTERCLOCKWISE = 1
 
 
 def _frac(value: Coordinate) -> Fraction:
@@ -117,12 +99,14 @@ class PointSet:
     """An immutable labeled point set; labels are positions 0..n-1.
 
     Point i is ``int_coords[i]`` divided by the positive integer
-    ``scale``.  The constructor divides both by their common factor, so
-    the scale is the least common denominator of all coordinates and
-    equal point sets have equal fields.  Scaling by a positive number
-    preserves every orientation, so all predicates may (and do) run on
-    the integers of ``int_coords``; the rational ``Point``s are built
-    only when ``points`` or ``ps[i]`` is read.
+    ``scale``.  The constructor stores the coordinates as a tuple of
+    pairs, whatever sequence of pairs it is given, and divides both by
+    their common factor, so the scale is the least common denominator of
+    all coordinates and equal point sets have equal fields and hashes.
+    Scaling by a positive number preserves every orientation, so all
+    predicates may (and do) run on the integers of ``int_coords``; the
+    rational ``Point``s are built only when ``points`` or ``ps[i]`` is
+    read.
     """
 
     int_coords: tuple[tuple[int, int], ...]
@@ -132,10 +116,9 @@ class PointSet:
         if self.scale < 1:
             raise ValueError(f"scale must be a positive integer, got {self.scale}")
         g = gcd(self.scale, *(v for p in self.int_coords for v in p))
-        if g > 1:
-            object.__setattr__(self, "int_coords",
-                               tuple((x // g, y // g) for x, y in self.int_coords))
-            object.__setattr__(self, "scale", self.scale // g)
+        object.__setattr__(self, "int_coords",
+                           tuple((x // g, y // g) for x, y in self.int_coords))
+        object.__setattr__(self, "scale", self.scale // g)
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -172,11 +155,6 @@ class ExitEdge:
         a, b = self.endpoints
         ws = ",".join(str(w) for w in sorted(self.witnesses))
         return f"{{{a},{b}}} witnesses {{{ws}}}"
-
-
-def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    """Exact turn direction of (p, q, r): sign of det(q - p, r - p)."""
-    return Orientation(turn((p.x, p.y), (q.x, q.y), (r.x, r.y)))
 
 
 def turn(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> int:
@@ -264,17 +242,6 @@ def convex_hull(ps: PointSet) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def line_separates(p: Point, q: Point, a: Point, b: Point) -> bool:
-    """True iff a and b lie strictly on opposite sides of line(p, q)."""
-    if p == q:
-        raise DegenerateLineError("p and q coincide, no supporting line")
-    oa = orientation(p, q, a)
-    ob = orientation(p, q, b)
-    if oa is Orientation.COLLINEAR or ob is Orientation.COLLINEAR:
-        raise OnLineError("query point lies on the separating line")
-    return oa is not ob
-
-
 def _shear_candidates() -> Iterator[Fraction]:
     yield Fraction(0)
     k = 1
@@ -302,24 +269,3 @@ def shear_to_generic(ps: PointSet) -> tuple[PointSet, Fraction]:
                 return ps, lam
             return PointSet(tuple(zip(xs, [q * y for _, y in grid])), q * ps.scale), lam
     raise AssertionError("unreachable: only finitely many shears are forbidden")
-
-
-def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the open segments ab and cd share a point.
-
-    Segments sharing an endpoint are rejected with SharedEndpointError;
-    with the endpoints in general position the remaining test is a strict
-    sign condition.
-    """
-    if a in (c, d) or b in (c, d):
-        raise SharedEndpointError("segments share an endpoint")
-    o1 = orientation(a, b, c).value
-    o2 = orientation(a, b, d).value
-    o3 = orientation(c, d, a).value
-    o4 = orientation(c, d, b).value
-    if o1 == o2 == o3 == o4 == 0:
-        # all four collinear: open overlap iff the intervals intersect
-        lo1, hi1 = sorted((a, b))
-        lo2, hi2 = sorted((c, d))
-        return max(lo1, lo2) < min(hi1, hi2)
-    return o1 * o2 < 0 and o3 * o4 < 0

@@ -14,7 +14,6 @@ quadratic dual-arrangement path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .geometry import ExitEdge, GeometryError, PointSet, TooFewPointsError, convex_hull
 
@@ -95,16 +94,6 @@ def exit_edges_bruteforce(ps: PointSet) -> tuple[ExitEdge, ...]:
     return tuple(edges)
 
 
-def witness_side(ps: PointSet, a: int, b: int, c: int) -> int:
-    """+1 if witness c lies left of the directed edge a->b, -1 if right."""
-    _check_labels(ps, (a, b, c))
-    (xa, ya), (xb, yb), (xc, yc) = (ps.int_coords[i] for i in (a, b, c))
-    s = (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
-    if s == 0:
-        raise NonDistinctLabelsError("witness collinear with endpoints")
-    return 1 if s > 0 else -1
-
-
 def _empty_triangles(ps: PointSet) -> set[tuple[int, int, int]]:
     """Triples i < j < k whose triangle has no other point strictly inside.
 
@@ -174,25 +163,6 @@ def enumerate_four_holes(ps: PointSet) -> list[FourHole]:
     return [holes[v] for v in sorted(holes)]
 
 
-@lru_cache(maxsize=1)
-def _holes_by_side(ps: PointSet) -> dict[tuple[int, int], list[FourHole]]:
-    """The 4-holes of the set indexed by each side (u, v), u < v, in the
-    order of enumerate_four_holes.  The index of the last set asked for
-    is kept, so that diagnostics run edge by edge on one set enumerate
-    its holes once."""
-    index: dict[tuple[int, int], list[FourHole]] = {}
-    for h in enumerate_four_holes(ps):
-        for u, v in h.directed_sides():
-            index.setdefault((u, v) if u < v else (v, u), []).append(h)
-    return index
-
-
-def four_holes_at_edge(ps: PointSet, a: int, b: int) -> list[FourHole]:
-    """All 4-holes having segment ab as a side."""
-    _check_labels(ps, (a, b))
-    return list(_holes_by_side(ps).get((a, b) if a < b else (b, a), ()))
-
-
 def _hull_edge_set(ps: PointSet) -> set[tuple[int, int]]:
     hull = convex_hull(ps)
     return {
@@ -235,12 +205,3 @@ def exit_edges_via_holes(ps: PointSet) -> frozenset[tuple[int, int]]:
             if not excluded:
                 pairs.append((a, b))
     return frozenset(pairs)
-
-
-def internal_edge_has_two_sided_support(ps: PointSet, edge: ExitEdge) -> bool:
-    """Diagnostic for an internal exit edge: it has a witness on each side,
-    or it is incident to a 4-hole on at least one side."""
-    if edge.endpoints in _hull_edge_set(ps):
-        raise ValueError("diagnostic applies to internal edges only")
-    sides = {witness_side(ps, *edge.endpoints, c) for c in edge.witnesses}
-    return sides == {-1, 1} or edge.endpoints in _holes_by_side(ps)

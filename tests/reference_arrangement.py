@@ -1,4 +1,5 @@
-"""The projective line arrangement as an explicit cell complex.
+"""The projective line arrangement as an explicit cell complex, a
+reference for tests.
 
 The Euclidean arrangement of the n dual lines is traced face by face;
 antipodal gluing of unbounded faces then yields the projective cells.
@@ -12,6 +13,10 @@ orientation used throughout; the marked cell (the one containing the
 point at vertical infinity) is the unique cell whose boundary traversal
 agrees with that orientation everywhere, and both characterizations are
 computed and compared at build time.
+
+The package finds the triangular cells without this complex, from the
+exit graph of its O(n^2) scan; the tests compare the two.  Only the
+exact sort of each line's crossings, ``dual._sorted_rows``, is shared.
 """
 
 from __future__ import annotations
@@ -20,8 +25,51 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dual import ConcurrentLinesError, DualLine, crossing_orders, crossing_position
-from .geometry import GeometryError, _grid
+from exitgraph.dual import ConcurrentLinesError, NonDistinctSlopesError, _sorted_rows
+from exitgraph.geometry import GeometryError, PointSet, _grid
+
+
+@dataclass(frozen=True)
+class DualLine:
+    """The non-vertical line y = slope*x + intercept, dual to the point
+    (slope, -intercept)."""
+
+    slope: Fraction
+    intercept: Fraction
+    source: int
+
+    def y_at(self, x: Fraction) -> Fraction:
+        return self.slope * x + self.intercept
+
+
+def dualize(ps: PointSet) -> list[DualLine]:
+    """Dual lines of the point set; requires pairwise distinct x."""
+    seen: dict[Fraction, int] = {}
+    for i, p in enumerate(ps.points):
+        if p.x in seen:
+            raise NonDistinctSlopesError(
+                f"points {seen[p.x]} and {i} share x = {p.x}; shear first")
+        seen[p.x] = i
+    return [DualLine(p.x, -p.y, i) for i, p in enumerate(ps.points)]
+
+
+def crossing_position(la: DualLine, lb: DualLine) -> tuple[Fraction, Fraction]:
+    """Exact intersection point of two dual lines."""
+    x = (lb.intercept - la.intercept) / (la.slope - lb.slope)
+    return x, la.y_at(x)
+
+
+def crossing_orders(a: Sequence[int], b: Sequence[int]) -> tuple[list[list[int]], list[dict]]:
+    """The linear crossing orders of the lines y = a[i]*x + b[i], which
+    the full arrangement walks.
+
+    Returns (order, rank): order[i] lists the other lines sorted by the x
+    of their crossing with line i, and rank[i] maps each of them to its
+    position in order[i].
+    """
+    order = list(_sorted_rows(a, b))
+    return order, [{j: pos for pos, j in enumerate(row)} for row in order]
+
 
 Piece = tuple[int, int, int]  # (line index, piece index 0..m, direction +-1)
 

@@ -4,10 +4,13 @@
 tables alone: each cell's three arcs directed along their lines, and the
 cell built from the in-degrees of its vertices.  It shares no code with
 the ExitGraph that ``dual_triangles`` and ``stats_report`` read.
+``hourglasses`` pairs the unmarked cells that share an exit vertex.
 """
 
-from exitgraph import shear_to_generic
-from exitgraph.dual import DualTriangle, crossing_orders
+from dataclasses import dataclass
+
+from exitgraph import DualTriangle, TripleSharedExitVertexError, shear_to_generic
+from reference_arrangement import crossing_orders
 
 
 def dual_coefficients(ps):
@@ -100,3 +103,27 @@ def dual_triangles_reference(ps):
     tris = list(_scan_triangles(*crossing_orders(*dual_coefficients(ps))))
     tris.sort(key=lambda t: (t.lines, sorted(t.unbounded_lines)))
     return tris
+
+
+@dataclass(frozen=True)
+class Hourglass:
+    """Two unmarked triangular cells sharing an exit vertex."""
+
+    cells: tuple[DualTriangle, DualTriangle]
+    shared_exit_vertex: tuple[int, int]
+
+
+def hourglasses(tris):
+    """Pair up unmarked triangles sharing an exit vertex."""
+    groups = {}
+    for t in tris:
+        if not t.marked:
+            groups.setdefault(t.exit_vertex, []).append(t)
+    out = []
+    for vertex, cells in sorted(groups.items()):
+        if len(cells) > 2:
+            raise TripleSharedExitVertexError(
+                f"{len(cells)} triangles share exit vertex {vertex}")
+        if len(cells) == 2:
+            out.append(Hourglass((cells[0], cells[1]), vertex))
+    return out

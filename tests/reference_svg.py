@@ -8,9 +8,9 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from exitgraph.arrangement import _side
-from exitgraph.dual import DualLine, crossing_position, dual_triangles, dualize
+from exitgraph.dual import dual_triangles
 from exitgraph.geometry import PointSet, convex_hull, shear_to_generic
+from reference_arrangement import DualLine, _side, crossing_position, dualize
 
 
 def format_number(value: Fraction) -> str:

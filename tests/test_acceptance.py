@@ -12,21 +12,15 @@ import time
 import tracemalloc
 
 from exitgraph import (
-    build_arrangement,
     certify_general_position,
     convex_hull,
     dual_triangles,
-    dualize,
     exit_edges_bruteforce,
     exit_edges_dual,
     exit_edges_via_holes,
     exit_graph_crossings,
     first_collinearity_morph,
     compare_exit_structures,
-    hourglasses,
-    line_triangle_counts,
-    marked_cell,
-    marked_cell_by_orientation,
     outer_face_vertices,
     point,
     random_general_position,
@@ -36,6 +30,14 @@ from exitgraph import (
     stats_report,
     trusted_point_set,
 )
+from reference_arrangement import (
+    build_arrangement,
+    dualize,
+    line_triangle_counts,
+    marked_cell,
+    marked_cell_by_orientation,
+)
+from reference_cells import hourglasses
 
 SIZES = range(5, 13)
 SETS_PER_SIZE = 1000

@@ -21,19 +21,17 @@ from exitgraph import (
     exit_edges_dual,
     exit_graph_crossings,
     exit_graph_stats,
-    find_order_type_bijection,
-    hourglasses,
     outer_face_vertices,
     random_general_position,
     same_order_type_labeled,
     search_min_exit_edges,
-    segments_cross,
     shear_to_generic,
     stats_report,
 )
 from conftest import KINDS, mixed_sets, random_sets
-from reference_cells import dual_triangles_reference
+from reference_cells import dual_triangles_reference, hourglasses
 from exitgraph.analysis import _Subdivision
+from exitgraph.geometry import turn
 
 
 def test_square_stats(unit_square):
@@ -143,7 +141,7 @@ def test_stats_counts_match_the_full_arrangement():
     # verdicts sum_t_is_three_triangles, sum_h_is_two_hourglasses and
     # exit_count_is_unmarked_minus_hourglasses hold by construction for
     # any counts, so these counts are what makes them checks
-    from exitgraph import build_arrangement, dualize, triangular_cells
+    from reference_arrangement import build_arrangement, dualize, triangular_cells
 
     kinds = dict.fromkeys(KINDS, 0)
     for kind, ps in mixed_sets(60, 4, 12, seed=1717):
@@ -193,6 +191,31 @@ def test_crossings_present_for_nine_or_more():
         assert exit_graph_crossings(ps) >= 1
 
 
+def segments_cross(a, b, c, d):
+    """True iff the open segments ab and cd, with endpoints given as
+    (x, y) pairs, share a point; segments that share an endpoint raise
+    ValueError.  With the endpoints in general position the test is a
+    strict sign condition on four turns."""
+    if a in (c, d) or b in (c, d):
+        raise ValueError("segments share an endpoint")
+    o1, o2 = turn(a, b, c), turn(a, b, d)
+    o3, o4 = turn(c, d, a), turn(c, d, b)
+    if o1 == o2 == o3 == o4 == 0:
+        # all four collinear: open overlap iff the intervals intersect
+        lo1, hi1 = sorted((a, b))
+        lo2, hi2 = sorted((c, d))
+        return max(lo1, lo2) < min(hi1, hi2)
+    return o1 * o2 < 0 and o3 * o4 < 0
+
+
+def test_segments_cross_cases():
+    assert segments_cross((0, 0), (1, 1), (1, 0), (0, 1)) is True
+    assert segments_cross((0, 0), (1, 0), (0, 1), (1, 1)) is False
+    assert segments_cross((0, 0), (2, 0), (1, 1), (1, 2)) is False
+    with pytest.raises(ValueError):
+        segments_cross((0, 0), (1, 1), (0, 0), (1, 0))
+
+
 def _crossings_reference(ps):
     """The Fraction double loop exit_graph_crossings once ran."""
     edges = exit_edges_dual(ps)
@@ -203,7 +226,7 @@ def _crossings_reference(ps):
             c, d = edges[t].endpoints
             if a in (c, d) or b in (c, d):
                 continue
-            if segments_cross(ps[a], ps[b], ps[c], ps[d]):
+            if segments_cross(*(tuple(ps[v]) for v in (a, b, c, d))):
                 count += 1
     return count
 
@@ -360,7 +383,6 @@ def test_same_order_type_trivial_and_shear(unit_square):
 def test_label_swap_changes_order_type(unit_square):
     swapped = certify_general_position([(0, 0), (0, 1), (1, 1), (1, 0)])
     assert not same_order_type_labeled(unit_square, swapped)
-    assert find_order_type_bijection(unit_square, swapped) == [0, 3, 2, 1]
 
 
 def test_size_mismatch(unit_square, triangle):
@@ -368,13 +390,6 @@ def test_size_mismatch(unit_square, triangle):
         same_order_type_labeled(unit_square, triangle)
     with pytest.raises(SizeMismatchError):
         compare_exit_structures(unit_square, triangle)
-
-
-def test_bijection_search_capped():
-    rng = random.Random(0)
-    big = random_general_position(9, rng)
-    with pytest.raises(ValueError):
-        find_order_type_bijection(big, big)
 
 
 def test_compare_same_and_different(unit_square, triangle_with_interior):

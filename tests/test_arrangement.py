@@ -2,22 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from exitgraph import (
+from exitgraph import convex_hull, dual_triangles, shear_to_generic
+from conftest import KINDS, mixed_sets, random_sets
+from reference_arrangement import (
     DualLine,
     build_arrangement,
-    convex_hull,
-    dual_triangles,
+    crossing_halfplane_has_private_triangle,
     dualize,
     line_triangle_counts,
     marked_cell,
     marked_cell_by_orientation,
     orient_lines,
     peel_orientation,
-    shear_to_generic,
     triangular_cells,
-    crossing_halfplane_has_private_triangle,
 )
-from conftest import KINDS, mixed_sets, random_sets
 
 
 def _dual_arrangement(ps):

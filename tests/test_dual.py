@@ -21,16 +21,15 @@ from exitgraph import (
     TripleSharedExitVertexError,
     certify_general_position,
     dual_triangles,
-    dualize,
     exit_edges_bruteforce,
     exit_edges_dual,
-    hourglasses,
     trusted_point_set,
 )
 from exitgraph import dual, fastscan
-from exitgraph.dual import _exit_edges_vectorized, crossing_orders, crossing_tables
+from exitgraph.dual import _exit_edges_vectorized, crossing_tables
 from conftest import KINDS, grid_sets, mixed_sets, random_sets
-from reference_cells import dual_coefficients, dual_triangles_reference
+from reference_arrangement import crossing_orders, dualize
+from reference_cells import dual_coefficients, dual_triangles_reference, hourglasses
 
 
 def test_dualize_formula():

@@ -8,61 +8,53 @@ from hypothesis import strategies as st
 
 from exitgraph import (
     CollinearTripleError,
-    DegenerateLineError,
     DuplicatePointError,
-    OnLineError,
-    Orientation,
     PointSet,
-    SharedEndpointError,
     TooFewPointsError,
     certify_general_position,
     convex_hull,
-    line_separates,
-    orientation,
     point,
-    segments_cross,
     shear_to_generic,
     trusted_point_set,
 )
+from exitgraph.geometry import turn
 from conftest import mixed_sets, random_sets
-
-P = point
 
 
 def test_orientation_basis_cases():
-    assert orientation(P(0, 0), P(1, 0), P(0, 1)) is Orientation.COUNTERCLOCKWISE
-    assert orientation(P(0, 0), P(0, 1), P(1, 0)) is Orientation.CLOCKWISE
-    assert orientation(P(0, 0), P(1, 1), P(2, 2)) is Orientation.COLLINEAR
+    assert turn((0, 0), (1, 0), (0, 1)) == 1
+    assert turn((0, 0), (0, 1), (1, 0)) == -1
+    assert turn((0, 0), (1, 1), (2, 2)) == 0
 
 
 coords = st.integers(min_value=-1000, max_value=1000)
-points = st.builds(lambda x, y: P(x, y), coords, coords)
+points = st.tuples(coords, coords)
 
 
 @given(points, points, points)
 def test_orientation_antisymmetric_under_swaps(p, q, r):
-    o = orientation(p, q, r)
+    o = turn(p, q, r)
     for swapped in ((q, p, r), (p, r, q), (r, q, p)):
-        assert orientation(*swapped).value == -o.value
+        assert turn(*swapped) == -o
 
 
 @given(points, points, points, coords, coords,
        st.integers(min_value=1, max_value=50),
        st.fractions(min_value=-3, max_value=3, max_denominator=7))
 def test_orientation_invariant_under_affine_maps(p, q, r, tx, ty, scale, lam):
-    o = orientation(p, q, r)
+    o = turn(p, q, r)
 
     def translate(pt):
-        return P(pt.x + tx, pt.y + ty)
+        return pt[0] + tx, pt[1] + ty
 
     def rescale(pt):
-        return P(pt.x * scale, pt.y * scale)
+        return pt[0] * scale, pt[1] * scale
 
     def shear(pt):
-        return P(pt.x + lam * pt.y, pt.y)
+        return pt[0] + lam * pt[1], pt[1]
 
     for f in (translate, rescale, shear):
-        assert orientation(f(p), f(q), f(r)) is o
+        assert turn(f(p), f(q), f(r)) == o
 
 
 def test_certify_square_and_six_point_set(six_points):
@@ -190,6 +182,18 @@ def test_equal_sets_from_different_input_forms_are_equal():
         PointSet(((0, 0),), 0)
 
 
+def test_point_set_stores_a_tuple_of_pairs_from_any_sequence():
+    # a list of pairs or of lists, at scale 1, is the same set as the
+    # tuple of tuples: equal, with equal hashes and equal fields
+    grid = ((0, 0), (4, 0), (0, 4), (1, 1))
+    expected = PointSet(grid)
+    for coords in ([(0, 0), (4, 0), (0, 4), (1, 1)], [[0, 0], [4, 0], [0, 4], [1, 1]]):
+        ps = PointSet(coords)
+        assert ps.int_coords == grid and ps.scale == 1
+        assert ps == expected and hash(ps) == hash(expected)
+    assert PointSet([[0, 0], [8, 0], [0, 8], [2, 2]], 2) == expected
+
+
 def test_points_round_trip():
     for _kind, ps in mixed_sets(30, 3, 12, seed=4242):
         assert trusted_point_set(ps.points) == ps
@@ -237,23 +241,15 @@ def test_hull_is_convex_and_contains_interior_points():
     for ps in random_sets(25, 4, 11, seed=101):
         hull = convex_hull(ps)
         h = len(hull)
+        grid = ps.int_coords
         for t in range(h):
             a, b, c = hull[t], hull[(t + 1) % h], hull[(t + 2) % h]
-            assert orientation(ps[a], ps[b], ps[c]) is Orientation.COUNTERCLOCKWISE
+            assert turn(grid[a], grid[b], grid[c]) == 1
         inner = set(ps.labels()) - set(hull)
         for i in inner:
             for t in range(h):
                 a, b = hull[t], hull[(t + 1) % h]
-                assert orientation(ps[a], ps[b], ps[i]) is Orientation.COUNTERCLOCKWISE
-
-
-def test_line_separates_cases():
-    assert line_separates(P(0, 0), P(1, 0), P(0, 1), P(0, -1)) is True
-    assert line_separates(P(0, 0), P(1, 0), P(0, 1), P(2, 1)) is False
-    with pytest.raises(OnLineError):
-        line_separates(P(0, 0), P(1, 0), P(2, 0), P(0, 1))
-    with pytest.raises(DegenerateLineError):
-        line_separates(P(1, 1), P(1, 1), P(0, 0), P(2, 2))
+                assert turn(grid[a], grid[b], grid[i]) == 1
 
 
 def test_shear_leaves_distinct_x_untouched(triangle):
@@ -277,15 +273,8 @@ def test_shear_preserves_all_triple_orientations():
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    assert orientation(ps[i], ps[j], ps[k]) is orientation(
-                        sheared[i], sheared[j], sheared[k])
+                    assert turn(tuple(ps[i]), tuple(ps[j]), tuple(ps[k])) == turn(
+                        tuple(sheared[i]), tuple(sheared[j]), tuple(sheared[k]))
         xs = {p.x for p in sheared.points}
         assert len(xs) == n
 
-
-def test_segments_cross_cases():
-    assert segments_cross(P(0, 0), P(1, 1), P(1, 0), P(0, 1)) is True
-    assert segments_cross(P(0, 0), P(1, 0), P(0, 1), P(1, 1)) is False
-    assert segments_cross(P(0, 0), P(2, 0), P(1, 1), P(1, 2)) is False
-    with pytest.raises(SharedEndpointError):
-        segments_cross(P(0, 0), P(1, 1), P(0, 0), P(1, 0))

@@ -291,9 +291,10 @@ def test_dual_viewport_is_the_box_of_all_crossings():
     # the extreme crossings join lines adjacent by slope or by 1/slope; a
     # point at x = 0 after the shear has a horizontal dual line, which
     # the 1/slope order leaves out
-    from exitgraph import crossing_position, dualize, shear_to_generic
+    from exitgraph import shear_to_generic
     from exitgraph.dual import _dual_coefficients
     from exitgraph.svg import _extreme_crossings
+    from reference_arrangement import crossing_position, dualize
 
     rng = random.Random(3232)
     sets = [*random_sets(150, 3, 24, seed=3030),
@@ -316,8 +317,9 @@ def test_dual_figure_positions_only_cell_vertices(monkeypatch):
     # crossings are computed on demand, as (X, Y, W): one per cell
     # vertex, each equal to crossing_position, and O(n) more for the
     # viewport, fewer than all n(n-1)/2 in all
-    from exitgraph import crossing_position, dualize, shear_to_generic
+    from exitgraph import shear_to_generic
     import exitgraph.svg as svg
+    from reference_arrangement import crossing_position, dualize
 
     calls, original = [], svg._crossing
 

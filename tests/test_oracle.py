@@ -1,5 +1,6 @@
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -13,13 +14,11 @@ from exitgraph import (
     exit_edges_bruteforce,
     exit_edges_dual,
     exit_edges_via_holes,
-    four_holes_at_edge,
     is_exit_edge_with_witness,
     shear_to_generic,
     trusted_point_set,
-    witness_side,
 )
-from exitgraph.oracle import FourHole, internal_edge_has_two_sided_support
+from exitgraph.oracle import FourHole, _check_labels, _hull_edge_set
 from conftest import mixed_sets, random_sets
 
 
@@ -155,6 +154,25 @@ def test_four_holes_match_the_definition():
     assert nonconvex > 100, nonconvex
 
 
+@lru_cache(maxsize=1)
+def _holes_by_side(ps):
+    """The 4-holes of the set indexed by each side (u, v), u < v, in the
+    order of enumerate_four_holes.  The index of the last set asked for
+    is kept, so that diagnostics run edge by edge on one set enumerate
+    its holes once."""
+    index = {}
+    for h in enumerate_four_holes(ps):
+        for u, v in h.directed_sides():
+            index.setdefault((u, v) if u < v else (v, u), []).append(h)
+    return index
+
+
+def four_holes_at_edge(ps, a, b):
+    """All 4-holes having segment ab as a side."""
+    _check_labels(ps, (a, b))
+    return list(_holes_by_side(ps).get((a, b) if a < b else (b, a), ()))
+
+
 def test_four_holes_at_edge_square_and_triangle(unit_square, triangle):
     holes = four_holes_at_edge(unit_square, 0, 1)
     assert len(holes) == 1 and holes[0].convex
@@ -205,6 +223,25 @@ def test_six_point_set_edges(six_points):
     edges = exit_edges_bruteforce(six_points)
     assert [(e.endpoints, set(e.witnesses)) for e in edges] == [
         ((0, 3), {1, 4}), ((0, 5), {4}), ((1, 2), {3, 5}), ((2, 4), {5})]
+
+
+def witness_side(ps, a, b, c):
+    """+1 if witness c lies left of the directed edge a->b, -1 if right."""
+    _check_labels(ps, (a, b, c))
+    (xa, ya), (xb, yb), (xc, yc) = (ps.int_coords[i] for i in (a, b, c))
+    s = (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
+    if s == 0:
+        raise NonDistinctLabelsError("witness collinear with endpoints")
+    return 1 if s > 0 else -1
+
+
+def internal_edge_has_two_sided_support(ps, edge):
+    """Diagnostic for an internal exit edge: it has a witness on each side,
+    or it is incident to a 4-hole on at least one side."""
+    if edge.endpoints in _hull_edge_set(ps):
+        raise ValueError("diagnostic applies to internal edges only")
+    sides = {witness_side(ps, *edge.endpoints, c) for c in edge.witnesses}
+    return sides == {-1, 1} or edge.endpoints in _holes_by_side(ps)
 
 
 def test_internal_exit_edge_diagnostic():
