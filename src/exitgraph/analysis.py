@@ -398,10 +398,11 @@ def compare_exit_structures(s: PointSet, t: PointSet) -> ExitStructureComparison
 
 # -- randomized search ------------------------------------------------
 
-def _first_accepted(n: int, rng: random.Random, span: int, accept):
+def _first_accepted(n: int, rng: random.Random, accept):
     """accept(points) for the first set of n distinct integer points, drawn
-    uniformly from [0, span]^2 and sorted, on which accept raises neither
+    uniformly from [0, 4n^2]^2 and sorted, on which accept raises neither
     CollinearTripleError nor ConcurrentLinesError."""
+    span = 4 * n * n
     while True:
         pts: set[tuple[int, int]] = set()
         while len(pts) < n:
@@ -415,7 +416,7 @@ def _first_accepted(n: int, rng: random.Random, span: int, accept):
 def random_general_position(n: int, rng: random.Random) -> PointSet:
     """A certified set of n integer points drawn uniformly from a square
     of side 4n^2, rejection-sampled until in general position."""
-    return _first_accepted(n, rng, 4 * n * n, certify_general_position)
+    return _first_accepted(n, rng, certify_general_position)
 
 
 def _scanned(points: list[tuple[int, int]]) -> tuple[PointSet, ExitGraph]:
@@ -440,7 +441,7 @@ def search_min_exit_edges(n: int, trials: int, seed: int) -> tuple[PointSet, int
     best_ps: PointSet | None = None
     best_count: int | None = None
     for _ in range(trials):
-        ps, edges = _first_accepted(n, rng, 4 * n * n, _scanned)
+        ps, edges = _first_accepted(n, rng, _scanned)
         count = len(edges)
         if best_count is None or count < best_count:
             best_ps, best_count = ps, count

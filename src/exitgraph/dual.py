@@ -41,8 +41,8 @@ and every other view reads the ``ExitGraph`` it builds: the exit edge ab
 with the witness w is the unmarked cell on the lines a, b and w, and the
 marked cell, at vertical infinity, is bounded by the duals of the convex
 hull's vertices.  ``exit_edges_dual`` returns the graph,
-``dual_triangles`` derives the cell objects from it and the hull, the
-dual SVG reads its cells from it, and ``analysis.exit_graph_stats``
+``_unmarked_cells`` lists its cells, which ``dual_triangles`` (with the
+hull) and the dual SVG both read, and ``analysis.exit_graph_stats``
 counts them.  Three lines have two crossings each, so their four cells
 cannot be told apart by adjacency: n = 3 is decided by a closed form
 instead, before any scan.
@@ -54,7 +54,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .geometry import (ExitEdge, GeometryError, PointSet, TooFewPointsError, convex_hull,
                        shear_to_generic)
@@ -259,41 +259,43 @@ def _infinity_arcs(slope: Sequence[int], a: int, b: int, w: int) -> tuple[int, .
     return (mid, w) if mid < w else (w, mid)
 
 
-def _triangle(slope: Sequence[int], lines: Iterable[int], exit_vertex: tuple[int, int] | None,
-              witness: int | None) -> DualTriangle:
-    """The triangular cell on three lines: unmarked with its exit vertex
-    and witness, or the marked cell when both are None."""
-    if witness is None:
-        lo, _, hi = sorted(lines, key=slope.__getitem__)
-        unbounded = lo, hi
-    else:
-        unbounded = _infinity_arcs(slope, *exit_vertex, witness)
-    i, y, z = lines = tuple(sorted(lines))
-    return DualTriangle(lines, ((i, y), (i, z), (y, z)), frozenset(unbounded),
-                        witness is None, exit_vertex, witness)
+def _unmarked_cells(a: list[int], b: list[int]) -> list[tuple]:
+    """Every unmarked cell of the lines y = a[i]*x + b[i], n >= 3, as
+    (lines, unbounded, exit vertex), sorted: the three lines ascending,
+    the two lines whose arcs through infinity bound the cell or (), and
+    the exit vertex (p, q), p < q.  Read from the exit graph of the
+    pure-Python scan: each witness w of the exit edge pq is the cell on
+    the lines p, q and w."""
+    cells = []
+    for p, q, w0, w1 in zip(*_python_exit_graph(a, b).columns()):
+        for w in (w0,) if w1 < 0 else (w0, w1):
+            lines = (w, p, q) if w < p else (p, w, q) if w < q else (p, q, w)
+            cells.append((lines, _infinity_arcs(a, p, q, w), (p, q)))
+    cells.sort()
+    return cells
 
 
 def dual_triangles(ps: PointSet) -> list[DualTriangle]:
     """All triangular cells of the dual arrangement of the point set,
     labeled by primal point indices.  The set is sheared internally.
 
-    Read from the exit graph of the pure-Python scan: each witness w of
-    an exit edge ab is the unmarked cell on the lines a, b and w.  The
-    marked cell, at vertical infinity, is bounded by the duals of the
-    convex hull's vertices, so it is triangular iff the hull has three.
+    The unmarked cells are those of ``_unmarked_cells``.  The marked
+    cell, at vertical infinity, is bounded by the duals of the convex
+    hull's vertices, so it is triangular iff the hull has three, and lies
+    on the infinity arcs of the lines of least and greatest slope.
     """
     if len(ps) < 3:
         raise TooFewPointsError("dual triangle scan needs at least 3 points")
     a, b = _dual_coefficients(ps)
-    tris = []
-    for x, y, w0, w1 in zip(*_python_exit_graph(a, b).columns()):
-        for w in (w0,) if w1 < 0 else (w0, w1):
-            tris.append(_triangle(a, (x, y, w), (x, y), w))
+    cells = [(lines, unbounded, v, sum(lines) - sum(v))
+             for lines, unbounded, v in _unmarked_cells(a, b)]
     hull = convex_hull(ps)
     if len(hull) == 3:
-        tris.append(_triangle(a, hull, None, None))
-    tris.sort(key=lambda t: (t.lines, sorted(t.unbounded_lines)))
-    return tris
+        lo, _, hi = sorted(hull, key=a.__getitem__)
+        cells.append((tuple(sorted(hull)), (lo, hi), None, None))
+        cells.sort(key=lambda cell: (cell[0], sorted(cell[1])))
+    return [DualTriangle(lines, ((i, j), (i, k), (j, k)), frozenset(unbounded), w is None, v, w)
+            for lines, unbounded, v, w in cells for i, j, k in [lines]]
 
 
 class ExitGraph(Sequence[ExitEdge]):

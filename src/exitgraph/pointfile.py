@@ -26,8 +26,9 @@ def _coordinate(token: str) -> int | Fraction:
     Fraction(token), the slower general parse, for every other token.
 
     Both convert each run of digits with int(), which refuses more than
-    sys.get_int_max_str_digits() digits; that refusal is reworded here,
-    since the call its message names is out of a point file's reach.
+    sys.get_int_max_str_digits() digits where Python has that limit;
+    that refusal is reworded here, since the call its message names is
+    out of a point file's reach.
     """
     digits = token[1:] if token[:1] == "-" else token
     try:
@@ -35,7 +36,8 @@ def _coordinate(token: str) -> int | Fraction:
             return int(token)
         return Fraction(token)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
+        # Python 3.10.0-3.10.6 has neither the limit nor the call
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         longest = max((len(run.replace("_", "")) for run in re.findall(r"\d[\d_]*", token)),
                       default=0)
         if 0 < limit < longest:

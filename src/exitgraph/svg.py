@@ -3,19 +3,23 @@ arrangements.
 
 All geometry stays exact until the final number formatting (20
 significant digits); rendering the same point set twice yields
-byte-identical documents.  Each point is formatted once, as the text of
+byte-identical documents.  Both figures hold each point as an integer
+homogeneous triple (X, Y, W) with W > 0, the point (X/W, Y/W): point i
+of the primal figure is (x_i, y_i, scale) from ``PointSet.int_coords``,
+and the dual figure so holds every crossing and every corner of a
+clipped cell.  ``_point_text`` formats each point once, as the text of
 its x and of its negated y, so that mathematical y points up on screen;
-the canvas draws from that text.  The dual figure holds every crossing,
-and every corner of a clipped cell, as an integer homogeneous triple
-(X, Y, W) with W > 0, the point (X/W, Y/W), and formats X/W itself.
+the canvas draws from that text.  Every clip to the viewport, of a dual
+line or of a cell, is a ``_clip_halfplane`` step.
 """
 
 from __future__ import annotations
 
 from decimal import Context, Decimal
 from fractions import Fraction
+from functools import cmp_to_key
 
-from .dual import _dual_coefficients, _infinity_arcs, _python_exit_graph
+from .dual import _dual_coefficients, _unmarked_cells
 from .geometry import PointSet, TooFewPointsError, convex_hull, shear_to_generic
 
 # one context for every number: a localcontext per call cost as much as
@@ -45,11 +49,6 @@ def format_number(value: Fraction) -> str:
     return _ratio_text(value.numerator, value.denominator)
 
 
-def _xy(x: Fraction, y: Fraction) -> tuple[str, str]:
-    """The text of a point on the canvas: its x, and its y negated."""
-    return format_number(x), format_number(-y)
-
-
 def _point_text(X: int, Y: int, W: int) -> str:
     """The "x,y" text of the homogeneous point (X, Y, W), W > 0, on the
     canvas: X/W and -Y/W as ``_ratio_text`` writes them."""
@@ -59,7 +58,11 @@ def _point_text(X: int, Y: int, W: int) -> str:
 
 
 def _bbox(points):
-    (x0, x1), (y0, y1) = [(min(c), max(c)) for c in zip(*points)]
+    """The viewport (x0, x1, y0, y1) of the homogeneous points: their
+    bounding box, widened on each side by a tenth of its width and of its
+    height, or by 1 where that is 0."""
+    box = [(Fraction(X, W), Fraction(Y, W)) for X, Y, W in points]
+    (x0, x1), (y0, y1) = [(min(c), max(c)) for c in zip(*box)]
     mx = (x1 - x0) / 10 or Fraction(1)
     my = (y1 - y0) / 10 or Fraction(1)
     return x0 - mx, x1 + mx, y0 - my, y1 + my
@@ -67,8 +70,9 @@ def _bbox(points):
 
 class _Canvas:
     """A document over the viewport [x0, x1] x [y0, y1]; the drawing
-    methods take formatted text: points as ``_xy`` pairs, polygon
-    corners as their "x,y" text."""
+    methods take each point as text from ``_point_text``: polygon
+    corners as "x,y", the ends of a line and the centre of a disk as the
+    pair that splitting "x,y" at the comma gives."""
 
     def __init__(self, x0, x1, y0, y1):
         f = format_number
@@ -98,23 +102,25 @@ class _Canvas:
 
 
 def _render_primal(ps: PointSet, edges: list[tuple[int, int]]) -> str:
-    pts = ps.points
-    canvas = _Canvas(*_bbox([(p.x, p.y) for p in pts]))
+    k = ps.scale
+    canvas = _Canvas(*_bbox([(x, y, k) for x, y in ps.int_coords]))
     base = canvas.base
     radius = base * 3 / 200
     f = format_number
     thin, dash, width, r, font = (f(base / 200), f(base / 50), f(base / 100),
                                   f(radius), f(base / 20))
-    xy = [_xy(p.x, p.y) for p in pts]
+    xy = [_point_text(x, y, k).split(",") for x, y in ps.int_coords]
 
     hull = convex_hull(ps)
     for a, b in zip(hull, hull[1:] + hull[:1]):
         canvas.line(xy[a], xy[b], "#999999", thin, "hull", dash)
     for a, b in edges:
         canvas.line(xy[a], xy[b], "#000000", width, "exit-edge")
-    for i, p in enumerate(pts):
+    # each label sits at the point plus (2 radius, 2 radius) = (u/d, u/d) / k
+    u, d = (radius * 2 * k).as_integer_ratio()
+    for i, (x, y) in enumerate(ps.int_coords):
         canvas.disk(xy[i], r, "#000000", "point")
-        x, y = _xy(p.x + radius * 2, p.y + radius * 2)
+        x, y = _point_text(x * d + u, y * d + u, k * d).split(",")
         canvas.parts.append(
             f'<text class="label" x="{x}" y="{y}" font-family="sans-serif" '
             f'font-size="{font}" fill="#000000">{i}</text>')
@@ -162,30 +168,14 @@ def _clip_halfplane(poly, ak: int, bk: int, s: int, sign: int):
     return out
 
 
-def _at_height(ak: int, bk: int, s: int, y: Fraction) -> tuple[int, int, int]:
-    """The point at height y of the line y = (ak x + bk) / s, ak != 0."""
-    u, v = y.numerator, y.denominator
-    if ak > 0:
-        return s * u - bk * v, ak * u, ak * v
-    return bk * v - s * u, -ak * u, -ak * v
+def _corners(x0: Fraction, x1: Fraction, y0: Fraction, y1: Fraction) -> list[tuple[int, int, int]]:
+    """The corners of the viewport, counterclockwise from (x0, y0)."""
+    return [(x.numerator * y.denominator, y.numerator * x.denominator,
+             x.denominator * y.denominator) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
 
 
-def _clip_line_to_rect(ak: int, bk: int, s: int, x0, x1, y0, y1):
-    """The ends of the line y = (ak x + bk) / s inside the viewport, left
-    to right.  Every dual line passes through a crossing strictly inside
-    the viewport, so the piece is never empty: a rising line enters
-    through the left or the bottom side and leaves through the right or
-    the top one, a falling line the other way round."""
-    left = (x0.numerator * s, ak * x0.numerator + bk * x0.denominator, x0.denominator * s)
-    right = (x1.numerator * s, ak * x1.numerator + bk * x1.denominator, x1.denominator * s)
-    if ak:
-        low, high = (y0, y1) if ak > 0 else (y1, y0)
-        enter, leave = _at_height(ak, bk, s, low), _at_height(ak, bk, s, high)
-        if enter[0] * left[2] > left[0] * enter[2]:
-            left = enter
-        if leave[0] * right[2] < right[0] * leave[2]:
-            right = leave
-    return left, right
+# x(u) < x(v) iff X_u W_v < X_v W_u, for W > 0
+_BY_X = cmp_to_key(lambda u, v: u[0] * v[2] - v[0] * u[2])
 
 
 def _extreme_crossings(a: list[int], b: list[int], s: int) -> list[tuple[int, int, int]]:
@@ -221,31 +211,22 @@ def dual_cell_polygons(ps: PointSet):
     dual line i of the sheared set is y = (A[i] x + B[i]) / s.
     positions maps each cell vertex, the pair i < j of lines, to its
     crossing (X, Y, W), and holds no other crossing.  pieces is a list of
-    (cell, tag, polygon) with cell = (lines, unbounded, exit vertex): the
-    three lines ascending, the two lines whose arcs through infinity
-    bound the cell or (), and the exit vertex (a, b).  The cells come
-    from the exit graph of the pure-Python scan, ordered by (lines,
-    unbounded), and polygons are lists of homogeneous points.  Cells
-    glued across infinity contribute two polygons under one tag.  A cell
-    equals the intersection of its three bounding halfplanes, so
-    clipping those against the viewport reproduces it exactly.
+    (cell, tag, polygon), cell being one (lines, unbounded, exit vertex)
+    of ``dual._unmarked_cells``, in its order, and polygons are lists of
+    homogeneous points.  A bounded cell's polygon is its three vertices.
+    A cell glued across infinity, whose arcs through infinity lie on the
+    lines p and q, has one sign for each of p, q and its third line w,
+    and the viewport clipped by those signs is its far piece; clipped by
+    the opposite signs, it is the wedge at the crossing of p and q, which
+    line w misses.  The two pieces share one tag.
     """
     if len(ps) < 3:
         raise TooFewPointsError("dual triangle scan needs at least 3 points")
     sheared, _ = shear_to_generic(ps)
     a, b = _dual_coefficients(sheared)  # the shear of a sheared set is the identity
     s = sheared.scale
-    cells = []
-    for p, q, w0, w1 in zip(*_python_exit_graph(a, b).columns()):
-        for w in (w0,) if w1 < 0 else (w0, w1):
-            lines = (w, p, q) if w < p else (p, w, q) if w < q else (p, q, w)
-            cells.append((lines, _infinity_arcs(a, p, q, w), (p, q)))
-    cells.sort()
-
-    viewport = x0, x1, y0, y1 = _bbox([(Fraction(X, W), Fraction(Y, W))
-                                       for X, Y, W in _extreme_crossings(a, b, s)])
-    rect = [(x.numerator * y.denominator, y.numerator * x.denominator,
-             x.denominator * y.denominator) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+    viewport = _bbox(_extreme_crossings(a, b, s))
+    rect = _corners(*viewport)
     positions: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def vertex(i, j):
@@ -255,7 +236,7 @@ def dual_cell_polygons(ps: PointSet):
         return pos
 
     pieces = []
-    for cell in cells:
+    for cell in _unmarked_cells(a, b):
         (i, j, k), unbounded, _ = cell
         polygon = [vertex(i, j), vertex(i, k), vertex(j, k)]
         tag = f"t{i}-{j}-{k}"
@@ -267,14 +248,16 @@ def dual_cell_polygons(ps: PointSet):
         w = i + j + k - p - q
         apex = positions[p, q]
         vp, vq = positions[min(p, w), max(p, w)], positions[min(q, w), max(q, w)]
-        # the wedge at the apex is the angle opposite the triangle
-        # apex, vp, vq: across line p from vq and across line q from vp
-        sp, sq = -_above(a[p], b[p], s, vq), -_above(a[q], b[q], s, vp)
-        wedge = _clip_halfplane(_clip_halfplane(rect, a[p], b[p], s, sp), a[q], b[q], s, sq)
-        far = _clip_halfplane(_clip_halfplane(_clip_halfplane(
-            rect, a[p], b[p], s, -sp), a[q], b[q], s, -sq),
-            a[w], b[w], s, -_above(a[w], b[w], s, apex))
-        for piece in (wedge, far):
+        # the far piece lies on vq's side of line p, on vp's side of line
+        # q and across line w from the apex; the wedge at the apex, the
+        # angle opposite the triangle apex, vp, vq, lies across all three,
+        # since line w meets lines p and q only at vp and vq
+        signs = {p: _above(a[p], b[p], s, vq), q: _above(a[q], b[q], s, vp),
+                 w: -_above(a[w], b[w], s, apex)}
+        for t in (-1, 1):  # the wedge, then the far piece
+            piece = rect
+            for line, sign in signs.items():
+                piece = _clip_halfplane(piece, a[line], b[line], s, t * sign)
             if len(piece) >= 3:
                 pieces.append((cell, tag, piece))
     return viewport, (a, b, s), positions, pieces
@@ -294,11 +277,14 @@ def _render_dual(ps: PointSet) -> str:
                    else [text[i, j], text[i, k], text[j, k]])
         canvas.polygon(corners, "#cccccc", "cell", tag)
 
+    # each line's ends: the corners on it of the viewport's part above it
     width = format_number(canvas.base / 300)
+    rect = _corners(*viewport)
     for ak, bk in zip(a, b):
-        p, q = _clip_line_to_rect(ak, bk, s, *viewport)
-        canvas.line(_point_text(*p).split(","), _point_text(*q).split(","), "#333333", width,
-                    "dual-line")
+        ends = sorted((v for v in _clip_halfplane(rect, ak, bk, s, 1)
+                       if s * v[1] == ak * v[0] + bk * v[2]), key=_BY_X)
+        canvas.line(_point_text(*ends[0]).split(","), _point_text(*ends[-1]).split(","),
+                    "#333333", width, "dual-line")
 
     # exit vertices as filled disks
     radius = format_number(canvas.base / 80)

@@ -578,11 +578,45 @@ def test_concurrent_lines_name_the_same_labels_on_both_backends():
 
 
 def test_vectorized_exact_resort_of_a_failed_row(monkeypatch):
-    # row 0 fails the float certification of the numpy tables: the float
-    # keys of two of its crossings tie, and its exact re-sort does not raise
+    # rows 0 and 3 fail the float certification of the numpy tables: on
+    # each, the float keys of the two nearly equal lines 1 and 2 tie, and
+    # the exact re-sort does not raise; every other row is left as sorted.
+    # With small coordinates every key differs, and no row is re-sorted
     k = (1 << 29) - 1
-    ps = certify_general_position([(0, 0), (-k, -(k - 1)), (-(k - 2), -(k - 3)), (5, 7), (-11, 3)])
     resorted = _spy_exact_row(monkeypatch, fastscan)
-    a, b = dual_coefficients(ps)
-    assert _exit_edges_vectorized(a, b, len(ps)) == exit_edges_bruteforce(ps)
-    assert 0 in resorted
+    for pts, resorted_rows in (
+            ([(0, 0), (-k, -(k - 1)), (-(k - 2), -(k - 3)), (5, 7), (-11, 3)], [0, 3]),
+            ([(-5, 5), (5, 5), (-5, -5), (5, -5), (-3, 2), (-3, -2)], [])):
+        ps = certify_general_position(pts)
+        a, b = dual_coefficients(ps)
+        resorted.clear()
+        assert _exit_edges_vectorized(a, b, len(ps)) == exit_edges_bruteforce(ps)
+        assert resorted == resorted_rows
+
+
+def test_numpy_scan_takes_coordinates_up_to_the_bound_inclusive(monkeypatch):
+    # a sheared 64-point set translated in x, or in y, so that its largest
+    # slope, or intercept, is exactly MAX_SAFE_COORD takes the numpy scan,
+    # and one more the pure-Python scan; a translation keeps every
+    # orientation, and distinct x, so all four give the same graph
+    base = exitgraph.shear_to_generic(exitgraph.random_general_position(64, random.Random(64)))[0]
+    calls, vectorized = [], dual._exit_edges_vectorized
+
+    def spy(a, b, n):
+        calls.append(n)
+        return vectorized(a, b, n)
+
+    monkeypatch.setattr(dual, "_exit_edges_vectorized", spy)
+    graphs = []
+    for axis in (0, 1):
+        top = max(p[axis] for p in base.int_coords)
+        for bound, numpy_calls in ((dual.MAX_SAFE_COORD, [64]), (dual.MAX_SAFE_COORD + 1, [])):
+            d = bound - top
+            ps = trusted_point_set([(x + d * (1 - axis), y + d * axis) for x, y in base.int_coords])
+            a, b = dual._dual_coefficients(ps)
+            assert max(map(abs, (a, b)[axis])) == bound > max(map(abs, (a, b)[1 - axis]))
+            calls.clear()
+            graphs.append(exit_edges_dual(ps))
+            assert calls == numpy_calls
+            assert isinstance(graphs[-1].a, np.ndarray if numpy_calls else array)
+    assert all(g == graphs[0] for g in graphs)

@@ -123,6 +123,16 @@ def test_parse_reads_coordinates_at_the_digit_limit_exactly():
         point(big, -big), point(Fraction(1, big), Fraction(big, big + 1))]
 
 
+def test_parse_error_without_a_digit_limit(monkeypatch):
+    # Python 3.10.0-3.10.6 has no sys.get_int_max_str_digits: a malformed
+    # coordinate still gets its line number, not an AttributeError
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    for token in ("abc", "2/x"):
+        with pytest.raises(PointSyntaxError) as got:
+            parse_point_list(f"0 0\n1 {token}\n")
+        assert got.value.line_number == 2
+
+
 def test_parse_point_list_allows_degenerate():
     pts = parse_point_list("0 0\n1 1\n2 2\n")
     assert len(pts) == 3
@@ -277,6 +287,14 @@ def test_figures_match_the_frozen_writer(triangle, unit_square):
             *random_sets(4, 64, 100, seed=6410)]
     sets += [trusted_point_set([(p.x * 2 ** 40, p.y * 2 ** 40) for p in ps.points])
              for ps in sets]
+    # the largest integers the clips meet: the near-tie triple of 2^29 - 1
+    # among 67 random points, and 12 points scaled past the float range
+    k = 2 ** 29 - 1
+    sets.append(certify_general_position(
+        [(0, 0), (-k, -(k - 1)), (-(k - 2), -(k - 3)),
+         *random_general_position(67, random.Random(67)).int_coords]))
+    sets.append(trusted_point_set([(x * 2 ** 1100, y * 2 ** 1100) for x, y in
+                                   random_general_position(12, random.Random(12)).int_coords]))
     for ps in sets:
         for mode in ("primal", "dual"):
             assert render_svg(ps, mode) == reference_svg.render_svg(ps, mode), (len(ps), mode)
