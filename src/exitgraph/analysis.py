@@ -129,8 +129,8 @@ def exit_graph_stats(ps: PointSet, edges: ExitGraph) -> StatsReport:
     upper = Fraction(n * (n - 1), 3)
 
     verdicts = {
-        "exit_count_ge_lower_bound": exit_count >= -(-(3 * n - 7) // 5),
-        "exit_count_le_upper_bound": exit_count <= (n * (n - 1)) // 3,
+        "exit_count_ge_lower_bound": exit_count >= lower,
+        "exit_count_le_upper_bound": exit_count <= upper,
         "exit_count_is_unmarked_minus_hourglasses": exit_count == unmarked - H,
         "sum_t_is_three_triangles": sum(ls.t for ls in per_line) == 3 * T,
         "sum_h_is_two_hourglasses": sum(ls.h for ls in per_line) == 2 * H,

@@ -152,10 +152,7 @@ def _cmd_morph(args) -> int:
         print("no collinearity event in (0, 1]")
         return OK
     a, b, c = event.triple
-    value = float(event.time)
-    # below the normal floats, .6g would print a subnormal's few digits or 0
-    approx = f"{value:.6g}" if value >= sys.float_info.min else event.time.significant(6)
-    print(f"first collinearity at t = {event.time} (~{approx})")
+    print(f"first collinearity at t = {event.time} (~{event.time.significant(6)})")
     print(f"triple ({a}, {b}, {c}); {c} strictly inside segment "
           f"{a}-{b}: {'yes' if event.between else 'no'}")
     if event.between:

@@ -88,28 +88,18 @@ class QuadraticRoot:
             p, q, r = p // g, q // g, r // g
         return QuadraticRoot(p, q, d, r)
 
-    def as_fraction(self) -> Fraction | None:
-        return Fraction(self.p, self.r) if self.q == 0 else None
-
-    def is_rational(self) -> bool:
-        return self.q == 0
-
     def __float__(self) -> float:
-        # q*sqrt(d) is +-sqrt(m) with m = q*q*d; isqrt of m * 4^k gives it
-        # to k fractional bits, k growing until the numerator keeps 64 bits
-        # past any cancellation with p, and one integer division rounds, so
-        # terms past the float range do not overflow
-        m = self.q * self.q * self.d
-        sign = 1 if self.q > 0 else -1
-        root = isqrt(m)
-        if root * root == m:
-            return (self.p + sign * root) / self.r
+        s = isqrt(self.d)
+        if s * s == self.d:  # a rational value, as make leaves it with d = 0
+            return (self.p + self.q * s) / self.r
+        # an irrational value times 2^k lies strictly inside (f, f + 1), f
+        # its floor; once f has more than 64 bits, every halfway point
+        # between adjacent floats, times 2^k, is an integer, so f + 1/2
+        # rounds as the value does, in one correctly rounded division
         k = 64
-        while True:
-            num = (self.p << k) + sign * isqrt(m << 2 * k)
-            if num.bit_length() > 64:
-                return num / (self.r << k)
+        while (f := self._floor_times(1 << k)).bit_length() <= 64:
             k *= 2
+        return (2 * f + 1) / (1 << k + 1)
 
     def _floor_times(self, scale: int) -> int:
         """floor(self * scale) for a positive integer scale, exactly."""
@@ -120,13 +110,20 @@ class QuadraticRoot:
         return (self.p * scale + root) // self.r
 
     def significant(self, digits: int) -> str:
-        """A value in (0, 1) rounded half-even to ``digits`` significant
-        digits, in float's exponent form (``1.14461e-332``): exact also
-        below the float range."""
-        # j is the least power of ten with value * 10^j >= least: doubled
-        # past it, then bisected
+        """A value in (0, 1] rounded half-even to ``digits`` significant
+        digits and laid out as ``%g`` lays out a float: in fixed notation
+        down to 1e-4 (``0.139688``, ``1``), in exponent form below
+        (``1e-05``, ``1.14461e-332``).  Exact, also below the float range;
+        a value outside (0, 1], or fewer than one digit, raises ValueError."""
+        if not 0 < self <= 1:
+            raise ValueError(f"{self} is not in (0, 1]")
+        if digits < 1:
+            raise ValueError(f"{digits} significant digits")
+        # j is the least power of ten with value * 10^j >= least: a value
+        # in (0, 1] fails at digits - 2, and j is doubled past it, then
+        # bisected
         least = 10 ** (digits - 1)
-        low, j = 0, 1
+        low, j = digits - 2, digits
         while self._floor_times(10 ** j) < least:
             low, j = j, 2 * j
         while j - low > 1:
@@ -138,21 +135,19 @@ class QuadraticRoot:
             n = (self._floor_times(2 * 10 ** j) + 1) // 2
         if n == 10 ** digits:
             n, j = n // 10, j - 1
-        s = str(n)
-        return f"{(s[0] + '.' + s[1:]).rstrip('0').rstrip('.')}e{digits - 1 - j:+03d}"
+        x = digits - 1 - j  # the decimal exponent of the rounded value
+        s = "0" * -x + str(n) if x >= -4 else str(n)
+        mantissa = (s[0] + "." + s[1:]).rstrip("0").rstrip(".")
+        return mantissa if x >= -4 else f"{mantissa}e{x:+03d}"
 
     def _cmp(self, other) -> int:
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
-            return _sign_with_surd(
-                self.p * other.denominator - other.numerator * self.r,
-                self.q * other.denominator, self.d)
         if isinstance(other, QuadraticRoot):
             return _sign_with_two_surds(
                 self.p * other.r - other.p * self.r,
                 self.q * other.r, self.d,
                 -other.q * self.r, other.d)
+        if isinstance(other, (int, Fraction)):  # self - n/d has the sign of d*self - n
+            return _sign_linear_at(-other.numerator, other.denominator, self)
         return NotImplemented
 
     def __lt__(self, other) -> bool:
@@ -194,8 +189,7 @@ def _quadratic_roots_in_unit_interval(c2: int, c1: int, c0: int) -> list[Quadrat
         roots.append(QuadraticRoot.make(-c1, 1, disc, 2 * c2))
         if disc > 0:
             roots.append(QuadraticRoot.make(-c1, -1, disc, 2 * c2))
-    zero, one = Fraction(0), Fraction(1)
-    return [t for t in roots if t._cmp(zero) > 0 and t._cmp(one) <= 0]
+    return [t for t in roots if 0 < t <= 1]
 
 
 @dataclass(frozen=True)
@@ -227,7 +221,6 @@ def first_collinearity_morph(ps0: PointSet, target: Sequence) -> MorphEvent | No
 
     best: QuadraticRoot | None = None
     best_triple: tuple[int, int, int] | None = None
-    best_coeffs: tuple[int, int, int] | None = None
     for i in range(n):
         x0i, y0i = g0[i]
         dxi, dyi = g1[i][0] - x0i, g1[i][1] - y0i
@@ -250,52 +243,31 @@ def first_collinearity_morph(ps0: PointSet, target: Sequence) -> MorphEvent | No
                     if best is None or root._cmp(best) < 0:
                         best = root
                         best_triple = (i, j, k)
-                        best_coeffs = (c2, c1, c0)
     if best is None:
         return None
-    return _classify_event(g0, g1, best, best_triple, best_coeffs)
+    return _classify_event(g0, g1, best, best_triple)
 
 
-def _eval_quadratic_sign(e2: int, e1: int, e0: int, root: QuadraticRoot,
-                         coeffs: tuple[int, int, int]) -> int:
-    """Sign of e2 t^2 + e1 t + e0 at the root of c2 t^2 + c1 t + c0.
-
-    The root's own relation substitutes t^2 = -(c1 t + c0)/c2, reducing
-    the evaluation to a linear sign computation in the extension field.
-    """
-    c2, c1, c0 = coeffs
-    if root.is_rational():
-        t = root.as_fraction()
-        return _sign(e2 * t * t + e1 * t + e0)
-    alpha = e0 * c2 - e2 * c0
-    beta = e1 * c2 - e2 * c1
-    return _sign_linear_at(alpha, beta, root) * _sign(c2)
-
-
-def _classify_event(g0, g1, root: QuadraticRoot, triple: tuple[int, int, int],
-                    coeffs: tuple[int, int, int]) -> MorphEvent:
+def _classify_event(g0, g1, root: QuadraticRoot, triple: tuple[int, int, int]) -> MorphEvent:
     """Pick the canonical (a, b, c): c is the strict middle point at the
     event time when one exists; otherwise the triple stays ascending and
-    ``between`` is false."""
-    def coord_polys(i: int):
-        (x0, y0), (x1, y1) = g0[i], g1[i]
-        return (x0, x1 - x0), (y0, y1 - y0)  # (const, slope) per axis
+    ``between`` is false.
+
+    The three points are collinear at the root, so c lies strictly between
+    u and v iff x_u - x_c and x_v - x_c have opposite nonzero signs there,
+    or, when both are zero (a vertical line), y_u - y_c and y_v - y_c do.
+    Each difference is linear in t, so each sign is one ``_sign_linear_at``.
+    """
+    def signs_from(mid: int, axis: int) -> list[int]:
+        m0, m1 = g0[mid][axis], g1[mid][axis]
+        return [_sign_linear_at(g0[o][axis] - m0, g1[o][axis] - g0[o][axis] - (m1 - m0), root)
+                for o in triple if o != mid]
 
     for mid in triple:
-        u, v = (t for t in triple if t != mid)
-        (mx, mdx), (my, mdy) = coord_polys(mid)
-        (ux, udx), (uy, udy) = coord_polys(u)
-        (vx, vdx), (vy, vdy) = coord_polys(v)
-        # dot((P_u - P_m), (P_v - P_m)) as a quadratic in t
-        a0, a1 = ux - mx, udx - mdx
-        b0, b1 = vx - mx, vdx - mdx
-        c0x, c1x, c2x = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
-        a0, a1 = uy - my, udy - mdy
-        b0, b1 = vy - my, vdy - mdy
-        e0 = c0x + a0 * b0
-        e1 = c1x + a0 * b1 + a1 * b0
-        e2 = c2x + a1 * b1
-        if _eval_quadratic_sign(e2, e1, e0, root, coeffs) < 0:
+        su, sv = signs_from(mid, 0)
+        if su == sv == 0:
+            su, sv = signs_from(mid, 1)
+        if su * sv < 0:
             a, b = sorted(t for t in triple if t != mid)
             return MorphEvent(root, (a, b, mid), True)
     return MorphEvent(root, triple, False)

@@ -310,6 +310,22 @@ def test_morph_reports_event(tmp_path, capsys):
     assert "witness 3: yes" in out
 
 
+@pytest.mark.parametrize("start, target, first", [
+    # t = 447/3200 = 0.1396875 exactly: six digits round half-even up,
+    # where the float just below it would print 0.139687
+    ("0 0\n4 0\n2 1000\n2 447\n", "0 0\n4 0\n2 1000\n2 -2753\n",
+     "first collinearity at t = 447/3200 (~0.139688)"),
+    # the event at the end of the morph
+    ("0 0\n4 0\n2 3\n", "0 0\n4 0\n2 0\n", "first collinearity at t = 1 (~1)"),
+], ids=["447/3200", "t=1"])
+def test_morph_prints_six_exact_digits(tmp_path, capsys, start, target, first):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(start)
+    b.write_text(target)
+    assert cli(["morph", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == first
+
+
 def test_morph_witness_line_matches_bruteforce_lookup(tmp_path, capsys):
     rng = random.Random(79)
     seen = 0

@@ -65,8 +65,7 @@ def test_quadratic_root_ordering():
     assert half > other
     assert sqrt2_minus_1 <= sqrt2_minus_1
     assert half.equals(Fraction(1, 2))
-    assert QuadraticRoot.make(2, 3, 4, 4).is_rational()  # sqrt(4) folds to 2
-    assert QuadraticRoot.make(2, 3, 4, 4).as_fraction() == 2
+    assert QuadraticRoot.make(2, 3, 4, 4) == QuadraticRoot(2, 0, 0, 1)  # sqrt(4) folds to 2
     assert 0.41 < float(sqrt2_minus_1) < 0.415
 
 
@@ -86,13 +85,18 @@ def test_quadratic_root_float_is_one_rounding_of_the_exact_value():
     roots = [QuadraticRoot.make(-(10 ** 30), 1, 10 ** 60 + 1, 1),  # ~5e-31
              QuadraticRoot.make(10 ** 40, -1, 10 ** 80 - 7, 3),
              QuadraticRoot.make(3 << 1100, -1, 5 << 2200, 7 << 1100),  # (3 - sqrt5)/7
-             QuadraticRoot.make(-1, 1, 2, 1 << 1100)]  # below the float range: 0.0
+             QuadraticRoot.make(-1, 1, 2, 1 << 1100),  # below the float range: 0.0
+             # just above the halfway point 1 + 2^-53: the floor of value * 2^64
+             # is that point, and rounding it would round to even, down to 1
+             QuadraticRoot.make((1 << 100) + (1 << 47) - 1, 1, 2, 1 << 100),
+             QuadraticRoot.make(-7803, 536, 212, 90)]  # ~0.0142: p and q*sqrt(d) near-cancel
     for t in roots:
         with localcontext() as ctx:
             ctx.prec = 200
             ref = (Decimal(t.p) + Decimal(t.q) * Decimal(t.d).sqrt()) / Decimal(t.r)
         assert float(t) == float(ref), t
-    assert roots[2].d > 1 << 2200 and float(roots[0]) > 0 and float(roots[-1]) == 0.0
+    assert roots[2].d > 1 << 2200 and float(roots[0]) > 0 and float(roots[3]) == 0.0
+    assert float(roots[4]) == 1 + 2 ** -52
 
 
 def test_quadratic_root_significant_digits_are_exact():
@@ -107,12 +111,50 @@ def test_quadratic_root_significant_digits_are_exact():
              (r(-(10 ** 200), 1, 10 ** 400 + 7, 2 * 10 ** 200), "1.75e-400"),
              (r(10 ** 200, -1, 10 ** 400 - 7, 2 * 10 ** 200), "1.75e-400"),
              (r(10 ** 100, -1, 10 ** 200 - 7, 1), "3.5e-100"),
-             (r(-1, 1, 2, 1 << 1100), "3.0495e-332")]
+             (r(-1, 1, 2, 1 << 1100), "3.0495e-332"),
+             # fixed notation down to 1e-4, as %g writes it; 447/3200 is
+             # 0.1396875 exactly, which rounds half-even up (its float is
+             # below it and writes 0.139687)
+             (r(1, 0, 0, 2), "0.5"),
+             (r(-1, 1, 2, 1), "0.414214"),
+             (r(1, 0, 0, 1), "1"),
+             (r(1, 0, 0, 10 ** 4), "0.0001"),
+             (r(1, 0, 0, 10 ** 5), "1e-05"),
+             (r(447, 0, 0, 3200), "0.139688")]
     for t, text in cases:
         assert t.significant(6) == text, t
     # where float's .6g writes the exponent form, it writes the same text
     for t in (r(2, 0, 0, 3 * 10 ** 5), r(-1, 1, 2, 1 << 1000), r(-(10 ** 30), 1, 10 ** 60 + 1, 1)):
         assert t.significant(6) == f"{float(t):.6g}", t
+
+
+@pytest.mark.parametrize("t, digits", [(QuadraticRoot.make(-1, 0, 0, 2), 6),
+                                       (QuadraticRoot.make(0, 0, 0, 1), 6),
+                                       (QuadraticRoot.make(2 * 10 ** 6, 0, 0, 1), 6),
+                                       (QuadraticRoot.make(1, 0, 0, 2), 0)],
+                         ids=["-1/2", "0", "2e6", "no digits"])
+def test_quadratic_root_significant_digits_refuse_out_of_range_arguments(t, digits):
+    with pytest.raises(ValueError):
+        t.significant(digits)
+
+
+@pytest.mark.parametrize("target, time, triple, between", [
+    # a vertical line x = 0 at t = 1/2: only the y coordinates tell that
+    # point 2 lies strictly between points 0 and 1
+    ([(0, 0), (0, 4), (-2, 2)], Fraction(1, 2), (0, 1, 2), True),
+    # point 2 meets point 1 at t = 1/2: collinear, but nothing is between
+    ([(0, 0), (0, 4), (-2, 6)], Fraction(1, 2), (0, 1, 2), False),
+], ids=["between", "meets"])
+def test_event_middle_point_on_a_vertical_line(target, time, triple, between):
+    ps = trusted_point_set([(0, 0), (0, 4), (2, 2)])
+    ev = first_collinearity_morph(ps, [point(x, y) for x, y in target])
+    assert ev.time.equals(time) and ev.triple == triple and ev.between == between
+
+
+def test_event_at_the_end_of_the_morph():
+    ps = trusted_point_set([(0, 0), (4, 0), (2, 3)])
+    ev = first_collinearity_morph(ps, [point(0, 0), point(4, 0), point(2, 0)])
+    assert ev.time.equals(1) and ev.triple == (0, 1, 2) and ev.between
 
 
 def test_between_events_are_exit_edges_with_the_witness():
