@@ -25,6 +25,10 @@ pairwise distinct are in the exact order.  Only a row with a repeated
 key, or with a key past the float range, is sorted by ``_exact_row``
 on exact integer keys.  Coinciding crossings have equal x and so equal
 keys: concurrent lines always reach ``_exact_row``, which names them.
+The numpy table sorts first on packed integer keys, coarser than the
+float keys, and falls back to the float keys of a row where two packed
+keys tie, so only a repeated float key sends a row to ``_exact_row``
+there too: both backends re-sort the same rows exactly.
 
 Both backends keep the orders in one format, the n x n successor table
 of ``crossing_tables`` (``fastscan.successor_table_np`` builds the same

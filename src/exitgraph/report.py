@@ -7,6 +7,7 @@ changes; all numbers are exact, with rationals written "p/q".
 from __future__ import annotations
 
 import json
+from array import array
 
 from .analysis import StatsReport
 from .dual import ExitGraph
@@ -56,11 +57,26 @@ def _edge_pieces(edges: ExitGraph, n: int, template: str, sep: str) -> list[str]
     pa = [f"{sep}{head}{v}{mid}" for v in labels]
     pb = [v + wopen for v in labels]
     tail = [f"{wsep}{v}{close}" for v in labels] + [close]
-    flat = [""] * (4 * len(edges))
-    flat[0::4] = map(pa.__getitem__, edges.a.tolist())
-    flat[1::4] = map(pb.__getitem__, edges.b.tolist())
-    flat[2::4] = map(labels.__getitem__, edges.w0.tolist())
-    flat[3::4] = map(tail.__getitem__, edges.w1.tolist())
+    if isinstance(edges.a, array):
+        flat = [""] * (4 * len(edges))
+        flat[0::4] = map(pa.__getitem__, edges.a.tolist())
+        flat[1::4] = map(pb.__getitem__, edges.b.tolist())
+        flat[2::4] = map(labels.__getitem__, edges.w0.tolist())
+        flat[3::4] = map(tail.__getitem__, edges.w1.tolist())
+    else:
+        import numpy as np
+
+        # numpy columns: one gather from one object array of all four
+        # tables, whose indices never become Python ints
+        table = np.array(pa + pb + labels + tail, dtype=object)
+        idx = np.empty((len(edges), 4), dtype=np.int32)  # indices up to 4n
+        for t, column in enumerate((edges.a, edges.b, edges.w0, edges.w1)):
+            idx[:, t] = column
+        idx += np.arange(0, 4 * n, n)  # where pa, pb, labels and tail start
+        idx[edges.w1 < 0, 3] = 4 * n  # tail[-1], the one-witness end
+        picked = table[idx.ravel()]
+        del idx
+        flat = picked.tolist()
     if flat:
         flat[0] = flat[0][len(sep):]
     return flat
@@ -75,8 +91,12 @@ def edge_rows(edges: ExitGraph, n: int, template: str, sep: str) -> str:
     gathered from four tables built once per label, not formatted one by
     one: ``pa[a]`` holds sep, the row head and a, ``tail[w1]`` the second
     witness and the row's end, and ``tail[-1]``, the entry past the last
-    label, the one-witness end.  Each column goes through ``tolist()``,
-    which numpy arrays and ``array.array``s both have, one at a time.
+    label, the one-witness end.  The gather depends on the column type.
+    ``array.array`` columns, from the pure-Python scan, go through
+    ``tolist()`` one at a time and are mapped through each table, so
+    that path never loads numpy.  numpy columns index one object array
+    that holds the four tables end to end, so no label becomes a Python
+    int.
     """
     return "".join(_edge_pieces(edges, n, template, sep))
 

@@ -355,12 +355,32 @@ def test_morph_witness_line_matches_bruteforce_lookup(tmp_path, capsys):
 
 
 def _six_digits(ref: Decimal) -> str:
-    """A positive Decimal as float's .6g writes it: below the normal floats
-    in exponent form, trailing zeros stripped, e.g. 1.14461e-332."""
-    if float(ref) >= sys.float_info.min:
-        return f"{float(ref):.6g}"
+    """A positive Decimal rounded half-even to six significant digits from
+    its exact value, in %g's layout: fixed notation for the exponents
+    -4..5 and exponent form otherwise, trailing zeros stripped, e.g.
+    0.139688 or 1.14461e-332."""
     mantissa, exponent = format(ref, ".5e").split("e")
-    return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent):+03d}"
+    e = int(exponent)
+    if -4 <= e < 6:
+        text = format(Decimal(f"{mantissa}e{e}"), "f")
+        return text.rstrip("0").rstrip(".") if "." in text else text
+    return f"{mantissa.rstrip('0').rstrip('.')}e{e:+03d}"
+
+
+@pytest.mark.parametrize("ref, text", [
+    # 447/3200 = 0.1396875 exactly: a decimal tie that rounds up to the
+    # even digit, where the float of it, just below, gives 0.139687
+    (Decimal(447) / Decimal(3200), "0.139688"),
+    # ties round to the even digit, down as well
+    (Decimal("0.1396865"), "0.139686"),
+    (Decimal("123456.5"), "123456"),
+    (Decimal("1234567"), "1.23457e+06"),
+    (Decimal("0.00012"), "0.00012"),
+    (Decimal("0.0000860757"), "8.60757e-05"),
+    (Decimal("1.14461e-332"), "1.14461e-332"),
+])
+def test_six_digit_reference_rounds_the_exact_value(ref, text):
+    assert _six_digits(ref) == text
 
 
 def test_morph_prints_times_past_the_float_range(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import os
 import random
+import struct
 import subprocess
 import sys
 from array import array
@@ -242,9 +243,10 @@ def test_exit_edge_builder_refuses_three_witnesses():
 ])
 def test_numpy_exit_graph_builder_matches_the_python_one(items, n):
     # on both backends one sort of the codes groups each vertex's
-    # witnesses, w0 < w1
+    # witnesses, w0 < w1; the numpy columns are int32
     python, graph = _both_builders(items, n)
     assert graph.columns() == python.columns()
+    assert [c.dtype for c in (graph.a, graph.b, graph.w0, graph.w1)] == [np.int32] * 4
     assert all(w0 < w1 for w0, w1 in zip(graph.w0.tolist(), graph.w1.tolist()) if w1 >= 0)
     assert _reference_edges([divmod(code, n) for code in items], n) == tuple(graph)
 
@@ -592,6 +594,55 @@ def test_vectorized_exact_resort_of_a_failed_row(monkeypatch):
         resorted.clear()
         assert _exit_edges_vectorized(a, b, len(ps)) == exit_edges_bruteforce(ps)
         assert resorted == resorted_rows
+
+
+def test_packed_sort_leaves_a_tied_high_part_to_the_float_keys(monkeypatch):
+    # on line 0 of the near-tie family below, lines 1 and 2 cross at
+    # (k-1)/k and (k-3)/(k-2), about 2/k^2 apart: for k near 2^26 a few
+    # ulps, so their float keys can differ while the packed keys, whose
+    # low L = 3 bits hold the column, keep equal high parts.  The packed
+    # sort then puts column 1 first, though its key is the larger: the
+    # row must be sorted on its float keys, and not by _exact_row
+    def high(x):
+        return int.from_bytes(struct.pack("<d", x), "little") >> 3
+
+    rng = random.Random(2 ** 26)
+    for _ in range(100):
+        k = (1 << 26) + rng.randrange(-(1 << 20), 1 << 20)
+        ps = certify_general_position([(0, 0), (-k, -(k - 1)), (-(k - 2), -(k - 3)), (5, 7), (-11, 3)])
+        a, b = dual_coefficients(ps)
+        x1, x2 = (b[1] - b[0]) / (a[0] - a[1]), (b[2] - b[0]) / (a[0] - a[2])
+        if x1 > x2 and high(x1) == high(x2):
+            break
+    else:
+        pytest.fail("no k in the range gives a tie of high parts")
+    assert (len(a) - 1).bit_length() == 3 and dual.coords_are_safe(a, b)
+    resorted = _spy_exact_row(monkeypatch, fastscan)
+    nxt = fastscan.successor_table_np(a, b)
+    assert 0 not in resorted
+    assert nxt.tolist() == crossing_tables(a, b)
+    assert nxt[0, 2] == 1  # line 2's crossing comes first, then line 1's
+
+
+def test_zero_keys_of_both_signs_tie_on_both_backends():
+    # the horizontal triple (50, y), (10, y), (90, y) as labels 0, 1, 2:
+    # their dual lines meet at x = 0, where line 0, of the middle slope,
+    # has the keys 0/40 = +0.0 and 0/-40 = -0.0 for lines 1 and 2.  The
+    # two zeros are equal floats, but their bits differ, so the packed
+    # keys must see them as one key for row 0 to name the triple
+    rest = [(x + 100, y) for x, y in exitgraph.random_general_position(67, random.Random(67)).int_coords]
+    y = next(v for v in range(1000, 10 ** 6) if v not in {q for _, q in rest})
+    pts = [(50, y), (10, y), (90, y)] + rest
+    # the triple is the only collinear one: dropping label 0, or label
+    # 1, leaves a set in general position
+    certify_general_position(pts[:1] + pts[2:])
+    certify_general_position(pts[1:])
+    a, b = dual._dual_coefficients(trusted_point_set(pts))
+    assert a[:3] == [50, 10, 90] and dual.coords_are_safe(a, b)
+    for table in crossing_tables, fastscan.successor_table_np:
+        with pytest.raises(ConcurrentLinesError) as err:
+            table(a, b)
+        assert err.value.labels == (0, 1, 2)
 
 
 def test_numpy_scan_takes_coordinates_up_to_the_bound_inclusive(monkeypatch):
